@@ -1,12 +1,18 @@
 """Training-budget allocation over ranked beam pairs.
 
 Strategies split an integer pilot budget across candidate beam pairs ranked
-by prior probability: uniform and proportional baselines, an exact
-branch-and-bound optimizer of the tractable surrogate objective, a
+by prior probability: uniform and proportional baselines, an exact optimizer
+of the tractable surrogate objective (the branch_and_bound strategy), a
 closed-form allocator from the relaxed problem's stationarity conditions,
 and a brute-force enumerator used both as a strategy and as a test oracle.
+
+The exact optimizer solves each number of probed pairs by marginal greedy.
+For a fixed pair count the surrogate is a sum of per-pair terms, each concave
+in its integer count, under a single budget constraint; handing out the
+budget one unit at a time to the largest marginal gain is then optimal.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -53,13 +59,6 @@ class RankedPairs:
     @property
     def size(self):
         return len(self.order)
-
-
-@dataclass
-class BBNode:
-    fixed: dict  # coordinate -> pinned integer value
-    bounds: tuple  # (lower, upper) float arrays, inclusive
-    relaxation_value: float  # upper bound on the subtree, inherited until solved
 
 
 def rank_pairs(prior):
@@ -139,175 +138,22 @@ def _even_split(m_b, n):
     return tuple(base + 1 if j < rem else base for j in range(n))
 
 
-# --------------------------------------------------------- branch and bound
+# ------------------------------------------------------- exact allocation
 
-def _neg_phi_prime(lam, m_b, r0):
-    # -d/dlam of (m_b - lam)/(r0 lam^2 + lam): positive and decreasing on
-    # lam in [1, m_b], which is what makes the per-pair surrogate concave
-    den = r0 * lam * lam + lam
-    return (den + (m_b - lam) * (2.0 * r0 * lam + 1.0)) / (den * den)
+def _scan_pair_counts(ranked, m_b, r0, cap, diag, solve):
+    """Best allocation over every feasible number N of probed pairs.
 
-
-def _dual_fill(w_eff, lo, hi, target, m_b, r0):
-    """Fill the box to the target total, equalizing the weighted marginal
-    gain: bisection on the shared multiplier, per-coordinate bisection for
-    each monotone marginal."""
-    g_lo = w_eff * _neg_phi_prime(lo, m_b, r0)
-    g_hi = w_eff * _neg_phi_prime(hi, m_b, r0)
-
-    def lam_of(mu):
-        lam = np.where(g_lo <= mu, lo, np.where(g_hi >= mu, hi, np.nan))
-        free = np.isnan(lam)
-        if np.any(free):
-            a = lo[free].copy()
-            b = hi[free].copy()
-            wf = w_eff[free]
-            for _ in range(48):
-                mid = 0.5 * (a + b)
-                go_up = wf * _neg_phi_prime(mid, m_b, r0) > mu
-                a = np.where(go_up, mid, a)
-                b = np.where(go_up, b, mid)
-            lam[free] = 0.5 * (a + b)
-        return lam
-
-    mu_lo, mu_hi = 0.0, float(g_lo.max()) + 1.0
-    for _ in range(80):
-        mu = 0.5 * (mu_lo + mu_hi)
-        if float(lam_of(mu).sum()) > target:
-            mu_lo = mu
-        else:
-            mu_hi = mu
-    lam = lam_of(0.5 * (mu_lo + mu_hi))
-    resid = target - float(lam.sum())
-    free = (lam > lo + 1e-9) & (lam < hi - 1e-9)
-    if abs(resid) > 1e-12 and np.any(free):
-        lam = lam.copy()
-        lam[free] += resid / int(free.sum())
-        lam = np.clip(lam, lo, hi)
-    return lam
-
-
-def _box_relaxation(w_eff, lo, hi, m_b, r0):
-    """Continuous maximizer of the surrogate over box * budget plane, or None
-    when the box is infeasible or the dual solve degenerates."""
-    if float(lo.sum()) > m_b + 1e-9 or float(hi.sum()) < m_b - 1e-9:
-        return None
-    lam = lo.astype(float).copy()
-    pos = w_eff > 0
-    budget_pos = m_b - float(lo[~pos].sum())
-    if pos.any():
-        if float(hi[pos].sum()) <= budget_pos + 1e-12:
-            lam[pos] = hi[pos]  # weightless coordinates soak up the rest
-        else:
-            lam[pos] = _dual_fill(w_eff[pos], lo[pos].astype(float),
-                                  hi[pos].astype(float), budget_pos, m_b, r0)
-    resid = m_b - float(lam.sum())
-    for j in np.flatnonzero(~pos):
-        add = min(hi[j] - lam[j], max(resid, 0.0))
-        lam[j] += add
-        resid -= add
-    if abs(float(lam.sum()) - m_b) > 1e-7:
-        return None
-    return lam
-
-
-def _fixed_of(lo, hi):
-    return {int(j): int(lo[j]) for j in np.flatnonzero(lo == hi)}
-
-
-def _bb_solve(w, m_b, r0, diag):
-    """Exact integer maximizer of the surrogate for a fixed set of pairs.
-
-    Depth-first over boxes; each node is bounded by its concave continuous
-    relaxation, branched on the most fractional coordinate, and seeds the
-    incumbent with the repaired rounding of the relaxed point.
-    """
-    n = len(w)
-    if n == 1:
-        return float(w[0]), (int(m_b),)
-    if n == m_b:
-        counts = (1,) * n
-        return approx_astp(counts, w, m_b, r0), counts
-    w_eff = w * (harmonic(n - 1) / (n - 1))
-    best_val = -np.inf
-    best = None
-
-    def consider(int_counts):
-        nonlocal best_val, best
-        cand = tuple(sorted((int(c) for c in int_counts), reverse=True))
-        val = approx_astp(cand, w, m_b, r0)
-        if val > best_val:
-            best_val, best = val, cand
-
-    stack = [BBNode(fixed={}, bounds=(np.ones(n), np.full(n, float(m_b - n + 1))),
-                    relaxation_value=np.inf)]
-    while stack:
-        node = stack.pop()
-        diag["nodes"] += 1
-        if node.relaxation_value <= best_val + 1e-12:
-            continue
-        lo, hi = node.bounds
-        lam = _box_relaxation(w_eff, lo, hi, m_b, r0)
-        if lam is None:
-            if float(lo.sum()) > m_b + 1e-9 or float(hi.sum()) < m_b - 1e-9:
-                continue
-            # degenerate dual solve: keep the subtree alive under the coarse
-            # box bound and split on the widest coordinate
-            ub = approx_astp(hi, w, m_b, r0)
-            if ub <= best_val + 1e-12:
-                continue
-            j = int(np.argmax(hi - lo))
-            split = math.floor(0.5 * (lo[j] + hi[j]))
-            children = _split_children(lo, hi, j, split, ub)
-            stack.extend(children)
-            continue
-        ub = approx_astp(lam, w, m_b, r0) + 1e-8
-        if ub <= best_val + 1e-12:
-            continue
-        try:
-            consider(round_repair(lam, m_b))
-        except ValueError:
-            pass
-        dist = np.abs(lam - np.round(lam))
-        j = int(np.argmax(dist))
-        if dist[j] < 1e-7:
-            consider(np.round(lam).astype(int))
-            continue
-        down, up = _split_children(lo, hi, j, math.floor(lam[j]), ub)
-        if lam[j] - math.floor(lam[j]) >= 0.5:
-            stack.extend([down, up])  # ceil side explored first
-        else:
-            stack.extend([up, down])
-    return best_val, best
-
-
-def _split_children(lo, hi, j, split, ub):
-    lo_d, hi_d = lo.copy(), hi.copy()
-    hi_d[j] = float(split)
-    lo_u, hi_u = lo.copy(), hi.copy()
-    lo_u[j] = float(split + 1)
-    return (BBNode(fixed=_fixed_of(lo_d, hi_d), bounds=(lo_d, hi_d), relaxation_value=ub),
-            BBNode(fixed=_fixed_of(lo_u, hi_u), bounds=(lo_u, hi_u), relaxation_value=ub))
-
-
-def allocate_bb(ranked, m_b, budget, cap=None, diagnostics=None):
-    """Budget split maximizing the surrogate objective across every feasible
-    number of probed pairs.
-
-    Outer loop scans the pair count N downward, skipping the tail once the
-    cumulative prior mass (an upper bound on any N-pair objective) falls to
-    the incumbent; each N is solved exactly by branch-and-bound.
+    Scans N downward from the cap, skipping the tail once the cumulative prior
+    mass of the top N pairs (an upper bound on any N-pair objective) falls to
+    the incumbent. solve(w) returns integer counts for the pairs weighted w.
     """
     if m_b < 1:
         raise ValueError(f"budget must be >= 1, got {m_b}")
-    diag = diagnostics if diagnostics is not None else {}
     diag.setdefault("visited_n", [])
     diag.setdefault("skipped_n", [])
-    diag.setdefault("nodes", 0)
     n0 = min(m_b, ranked.size, cap if cap is not None else m_b)
     w_all = ranked.weights
     cum = np.cumsum(w_all)
-    r0 = budget.r0
     best = _even_split(m_b, n0)
     best_val = approx_astp(best, w_all[:n0], m_b, r0)
     for n in range(n0, 0, -1):
@@ -315,11 +161,57 @@ def allocate_bb(ranked, m_b, budget, cap=None, diagnostics=None):
             diag["skipped_n"] = list(range(n, 0, -1))
             break
         diag["visited_n"].append(n)
-        val, counts = _bb_solve(np.asarray(w_all[:n], float), m_b, r0, diag)
+        w = np.asarray(w_all[:n], float)
+        counts = np.sort(solve(w))[::-1]
+        val = approx_astp(counts, w, m_b, r0)
         if val > best_val:
-            best_val, best = val, counts
+            best_val, best = val, tuple(int(c) for c in counts)
     return Allocation(pairs=tuple(int(p) for p in ranked.order[:len(best)]),
                       counts=best, budget=m_b)
+
+
+def _greedy_counts(w, m_b, r0):
+    """Exact integer maximizer of the surrogate for a fixed set of pairs.
+
+    Every pair starts at one count; each remaining unit goes to the pair with
+    the largest marginal gain w_j * [psi(c + 1) - psi(c)], ties to the heavier
+    pair. Exact because psi's unit increments are positive and shrinking
+    (Fox 1966; Ibaraki & Katoh 1988).
+    """
+    n = len(w)
+    if n == 1:
+        return [m_b]
+    lam = np.arange(1.0, m_b - n + 3.0)
+    psi = 1.0 - harmonic(n - 1) / (n - 1) * (m_b - lam) / (lam * lam * r0 + lam)
+    step = np.diff(psi)  # step[c - 1] = psi(c + 1) - psi(c)
+    w, step = w.tolist(), step.tolist()
+    counts = [1] * n
+    heap = [(-w[j] * step[0], j) for j in range(n)]
+    heapq.heapify(heap)
+    for _ in range(m_b - n):
+        j = heapq.heappop(heap)[1]
+        counts[j] += 1
+        heapq.heappush(heap, (-w[j] * step[counts[j] - 1], j))
+    return counts
+
+
+def allocate_bb(ranked, m_b, budget, cap=None, diagnostics=None):
+    """Budget split maximizing the surrogate objective across every feasible
+    number of probed pairs.
+
+    Each pair count N is solved exactly by marginal greedy: for fixed N the
+    surrogate is a sum of per-pair concave terms under one budget constraint,
+    where handing out units one at a time by largest marginal gain is
+    optimal. diagnostics["nodes"] counts the units handed out that way.
+    """
+    diag = diagnostics if diagnostics is not None else {}
+    diag.setdefault("nodes", 0)
+
+    def solve(w):
+        diag["nodes"] += m_b - len(w)
+        return _greedy_counts(w, m_b, budget.r0)
+
+    return _scan_pair_counts(ranked, m_b, budget.r0, cap, diag, solve)
 
 
 # ------------------------------------------------------- stationarity solve
@@ -395,43 +287,25 @@ def allocate_kkt(ranked, m_b, budget, cap=None, diagnostics=None):
     flagged in diagnostics; solved roots are recorded there too so their
     residuals can be audited.
     """
-    if m_b < 1:
-        raise ValueError(f"budget must be >= 1, got {m_b}")
     diag = diagnostics if diagnostics is not None else {}
-    diag.setdefault("visited_n", [])
-    diag.setdefault("skipped_n", [])
     diag.setdefault("fallback_n", [])
     diag.setdefault("stationarity", [])
-    n0 = min(m_b, ranked.size, cap if cap is not None else m_b)
-    w_all = ranked.weights
-    cum = np.cumsum(w_all)
     r0 = budget.r0
-    best = _even_split(m_b, n0)
-    best_val = approx_astp(best, w_all[:n0], m_b, r0)
-    for n in range(n0, 0, -1):
-        if cum[n - 1] <= best_val:
-            diag["skipped_n"] = list(range(n, 0, -1))
-            break
-        diag["visited_n"].append(n)
-        w = np.asarray(w_all[:n], float)
+
+    def solve(w):
+        n = len(w)
         if n == m_b:
-            counts = np.ones(n, int)
-        else:
-            sol = _kkt_real_counts(w, m_b, r0)
-            if sol is None:
-                counts = np.asarray(_even_split(m_b, n), int)
-                diag["fallback_n"].append(n)
-            else:
-                real, mu0, roots = sol
-                diag["stationarity"].append(
-                    {"n_pairs": n, "mu0": mu0, "roots": roots, "weights": w})
-                counts = round_repair(real, m_b)
-        counts = np.sort(counts)[::-1]
-        val = approx_astp(counts, w, m_b, r0)
-        if val > best_val:
-            best_val, best = val, tuple(int(c) for c in counts)
-    return Allocation(pairs=tuple(int(p) for p in ranked.order[:len(best)]),
-                      counts=best, budget=m_b)
+            return np.ones(n, int)
+        sol = _kkt_real_counts(w, m_b, r0)
+        if sol is None:
+            diag["fallback_n"].append(n)
+            return np.asarray(_even_split(m_b, n), int)
+        real, mu0, roots = sol
+        diag["stationarity"].append(
+            {"n_pairs": n, "mu0": mu0, "roots": roots, "weights": w})
+        return round_repair(real, m_b)
+
+    return _scan_pair_counts(ranked, m_b, r0, cap, diag, solve)
 
 
 # ----------------------------------------------------------- brute force

@@ -120,6 +120,12 @@ class ExperimentConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.gain_var <= 0:
             raise ValueError(f"gain_var must be positive, got {self.gain_var}")
+        # the JSON output echoes these, and strict JSON has no NaN or Infinity
+        for name, val in ([("snr_db", s) for s in self.snr_db]
+                          + [("gain_var", self.gain_var),
+                             ("strategy.omega", self.strategy.omega)]):
+            if not math.isfinite(val):
+                raise ValueError(f"{name} must be finite, got {val}")
         for name, val in (("m_t", self.m_t), ("m_c", self.m_c)):
             if val is not None and val < 1:
                 raise ValueError(f"{name} must be a positive symbol count")
@@ -134,7 +140,7 @@ class ExperimentConfig:
                             f"sweep_values entries must lie in [0, 1], got {v}")
             else:
                 for v in self.sweep_values:
-                    if int(v) != v or v < 1:
+                    if not math.isfinite(v) or int(v) != v or v < 1:
                         raise ValueError(
                             f"sweep_values entries must be budgets >= 1, got {v}")
         elif self.sweep_values is not None:
@@ -365,14 +371,15 @@ def _error_record(value, message, wall):
 
 def run_campaign(config, workers=1):
     """Run every sweep point; a failed point yields an error record and the
-    campaign moves on."""
+    campaign moves on, whatever the exception type."""
     records = []
     for point_idx, (value, overrides) in enumerate(_sweep_points(config)):
         start = time.perf_counter()
         try:
             hits, gains = _run_point(config, overrides, point_idx, workers)
-        except (ValueError, ArithmeticError) as exc:
-            records.append(_error_record(value, str(exc),
+        except Exception as exc:  # one point's failure must not lose the rest
+            message = f"{type(exc).__name__}: {exc}"
+            records.append(_error_record(value, message,
                                          time.perf_counter() - start))
             continue
         wall = time.perf_counter() - start
@@ -404,6 +411,11 @@ def _format_value(value, sweep):
     return repr(float(value))
 
 
+def _json_number(value):
+    # strict JSON has no NaN token: a failed point's metrics are written as null
+    return None if math.isnan(value) else value
+
+
 def emit_results(records, fmt, path, config):
     """Write the campaign results as CSV rows or a JSON document."""
     if not records:
@@ -428,12 +440,12 @@ def emit_results(records, fmt, path, config):
             "config": config_echo(config),
             "records": [{
                 "sweep_name": config.sweep,
-                "sweep_value": rec.sweep_value,
+                "sweep_value": _json_number(rec.sweep_value),
                 "strategy": config.strategy.kind,
                 "estimator": config.estimator,
-                "atep": rec.atep,
-                "atep_ci95": rec.atep_ci95,
-                "avg_gain": rec.avg_beamforming_gain,
+                "atep": _json_number(rec.atep),
+                "atep_ci95": _json_number(rec.atep_ci95),
+                "avg_gain": _json_number(rec.avg_beamforming_gain),
                 "n_frames": config.n_frames,
                 "seed": config.seed,
                 "per_block_atep": list(rec.per_block_atep),
@@ -441,7 +453,7 @@ def emit_results(records, fmt, path, config):
                 "error": rec.error,
             } for rec in records],
         }
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

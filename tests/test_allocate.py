@@ -15,7 +15,6 @@ from beamtrack.allocate import (
     guarded_strategy,
     rank_pairs,
     round_repair,
-    _neg_phi_prime,
 )
 from beamtrack.astp import (
     LinkBudget,
@@ -189,13 +188,16 @@ def test_round_repair_keeps_integers_untouched():
 # ----------------------------------------------------------- branch and bound
 
 def test_surrogate_marginals_are_diminishing():
-    # underpins the relaxation bound: the per-count marginal gain shrinks
-    for r0 in (0.2, 5.0, 500.0):
+    # the marginal greedy is exact because each pair's surrogate term gains a
+    # positive and strictly shrinking amount from every extra count
+    for r0 in (1e-3, 0.2, 5.0, 500.0, 1e4):
         for m_b in (6, 12, 40):
-            lam = np.arange(1.0, m_b + 1.0)
-            marg = _neg_phi_prime(lam, m_b, r0)
-            assert np.all(marg > 0)
-            assert np.all(np.diff(marg) < 0)
+            # one-hot weights isolate the first pair's term psi(c)
+            psi = np.array([approx_astp([c, 1], [1.0, 0.0], m_b, r0)
+                            for c in range(1, m_b + 1)])
+            step = np.diff(psi)
+            assert np.all(step > 0)
+            assert np.all(np.diff(step) < 0)
 
 
 def test_bb_two_pair_toy_case():
@@ -314,6 +316,22 @@ def test_kkt_tracks_bb_closely():
         via_kkt = astp_closed_form(allocate_kkt(ranked, m_b, budget), prior, budget)
         via_bb = astp_closed_form(allocate_bb(ranked, m_b, budget), prior, budget)
         assert via_kkt >= 0.98 * via_bb
+
+
+@pytest.mark.parametrize("x, m_b, snr_db", [(16, 24, -10.0), (64, 40, -14.0)])
+def test_bb_dominates_kkt_on_surrogate_at_scale(x, m_b, snr_db):
+    # the exact optimum can never fall below the relaxed-and-repaired one
+    config = CodebookConfig(n_tx=x, n_rx=x, x_tx=x, x_rx=x)
+    model = build_transition_model(beta_rx=0.1, beta_tx=0.1, config=config)
+    ranked = rank_pairs(prior_from_transition(model, k0=x // 2, i0=x // 2))
+    budget = LinkBudget(power=10.0 ** (snr_db / 10.0), noise_var=1.0,
+                        gain_var=1.0, n_tx=x, n_rx=x)
+    vals = []
+    for alloc in (allocate_bb(ranked, m_b, budget), allocate_kkt(ranked, m_b, budget)):
+        assert sum(alloc.counts) == m_b
+        n = len(alloc.counts)
+        vals.append(approx_astp(alloc.counts, ranked.weights[:n], m_b, budget.r0))
+    assert vals[0] >= vals[1]
 
 
 def test_kkt_output_is_canonical():

@@ -7,6 +7,8 @@ import pytest
 from beamtrack.allocate import allocate_uniform, rank_pairs
 from beamtrack.astp import LinkBudget, astp_closed_form, prior_from_transition
 from beamtrack.channel import CodebookConfig, build_transition_model
+from beamtrack.specfun import ConvergenceError
+from beamtrack import cli
 from beamtrack.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -72,6 +74,14 @@ def test_config_rejects_out_of_range_fields(tmp_path):
         load_config(write_config(tmp_path, snr_db=[]))
     with pytest.raises(ConfigError, match="n_frames"):
         load_config(write_config(tmp_path, n_frames=0))
+    with pytest.raises(ConfigError, match="snr_db must be finite"):
+        load_config(write_config(tmp_path, snr_db=[0.0, float("nan")]))
+    with pytest.raises(ConfigError, match="budgets"):
+        load_config(write_config(tmp_path, sweep="m_b",
+                                 sweep_values=[4, float("inf")]))
+    with pytest.raises(ConfigError, match="omega must be finite"):
+        load_config(write_config(tmp_path, strategy={"kind": "kkt",
+                                                     "omega": float("inf")}))
     with pytest.raises(ConfigError, match="estimator"):
         load_config(write_config(tmp_path, estimator="mle"))
     with pytest.raises(ConfigError, match="sweep_values"):
@@ -171,6 +181,25 @@ def test_infeasible_point_yields_error_record_and_continues(tmp_path):
     assert records[0].error is None
     assert records[1].error is not None
     assert math.isnan(records[1].atep)
+
+
+def test_any_exception_in_a_point_yields_error_record(tmp_path, monkeypatch):
+    real_run_point = cli._run_point
+
+    def flaky(config, overrides, point_idx, workers):
+        if point_idx == 0:
+            raise ConvergenceError("quadrature stalled", partial=0.5)
+        return real_run_point(config, overrides, point_idx, workers)
+
+    monkeypatch.setattr(cli, "_run_point", flaky)
+    cfg = write_config(tmp_path, snr_db=[0.0, 5.0], n_frames=10)
+    records = run_campaign(load_config(cfg))
+    assert len(records) == 2
+    assert "ConvergenceError" in records[0].error
+    assert math.isnan(records[0].atep)
+    assert records[1].error is None
+    assert 0.0 <= records[1].atep <= 1.0
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
 
 
 def test_campaign_is_deterministic_across_worker_counts(tmp_path):
@@ -276,6 +305,25 @@ def test_main_flags_partial_failure_with_exit_three(tmp_path, capsys):
     # results for the healthy points are still written
     assert len(out.read_text().splitlines()) == 3
     assert capsys.readouterr().err != ""
+
+
+def test_failed_point_is_strict_json_null(tmp_path):
+    cfg = write_config(tmp_path, sweep="m_b", sweep_values=[4, 400],
+                       n_frames=10)
+    out = tmp_path / "partial.json"
+    code = main(["run", "--config", str(cfg), "--out", str(out),
+                 "--format", "json"])
+    assert code == 3
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    healthy, failed = doc["records"]
+    assert healthy["error"] is None and 0.0 <= healthy["atep"] <= 1.0
+    assert failed["error"] is not None
+    assert failed["atep"] is None
+    assert failed["atep_ci95"] is None and failed["avg_gain"] is None
 
 
 def test_main_unwritable_output_is_exit_two(tmp_path):
