@@ -24,6 +24,10 @@ from .specfun import harmonic
 
 STRATEGY_KINDS = ("uniform", "proportional", "exhaustive", "branch_and_bound",
                   "kkt", "omp_exhaustive")
+# Strategies that read the prior only through its top min(cap, M_B) ranked
+# weights (besides M_B and r0), so priors with the same top weights get the
+# same allocation by rank; omp_exhaustive reads the whole prior and grid.
+PROFILE_KINDS = ("uniform", "proportional", "exhaustive", "branch_and_bound", "kkt")
 
 
 @dataclass(frozen=True)
@@ -235,9 +239,12 @@ def _kkt_real_counts(w, m_b, r0):
     """Fractional counts from the relaxed problem's stationarity conditions.
 
     The shared multiplier is bisected (geometrically, the scale is unknown a
-    priori) so the floored-at-1 roots total the budget; each root is then
-    polished by a few Newton steps on its cubic. Returns None when no
-    multiplier can reach the budget.
+    priori) so the floored-at-1 roots total the budget. The bisection stops
+    once the bracket's geometric midpoint rounds to one of its ends: from
+    there on further steps leave the bracket fixed or collapse it onto that
+    midpoint, which is then the multiplier. Each root is then polished by a
+    few Newton steps on its cubic. Returns None when no multiplier can reach
+    the budget.
     """
     n = len(w)
     if not np.any(w > 0):
@@ -261,6 +268,8 @@ def _kkt_real_counts(w, m_b, r0):
         return None
     for _ in range(200):
         mid = math.sqrt(mu_lo * mu_hi)
+        if mid == mu_lo or mid == mu_hi:
+            break
         if total(mid) > m_b:
             mu_lo = mid
         else:

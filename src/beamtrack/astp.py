@@ -11,7 +11,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .channel import pair_split
+from .channel import pair_rows, pair_split
 from .specfun import QuadratureSpec, harmonic, integrate_semi_infinite, marcum_q1
 
 
@@ -268,14 +268,10 @@ def omp_gamma_lower_bounds(alloc, tables, budget, chunk=512):
     Entries may be negative; the aggregate keeps them (a shared clamp would
     reorder allocations). Vectorized in blocks over the candidate grid.
     """
-    x_rx, x_tx = tables.x_rx, tables.x_tx
-    x = x_rx * x_tx
+    x = tables.x_rx * tables.x_tx
     lam = np.asarray(alloc.counts, float)
     # C[m, n] = correlation of probe pair m's beams with grid direction n
-    rows = np.empty((alloc.n_pairs, x), complex)
-    for m, z in enumerate(alloc.pairs):
-        a, c = pair_split(z, x_rx)
-        rows[m] = np.kron(tables.nu_tx[c - 1, :], tables.nu_rx[a - 1, :])
+    rows = pair_rows(alloc.pairs, tables)
     power = np.abs(rows) ** 2  # |C|^2
     q = lam @ power  # own-power per grid direction, length X
     weighted = lam[:, None] * rows

@@ -139,6 +139,19 @@ class CorrelationTables:
         return self.nu_tx.shape[0]
 
 
+def pair_rows(pairs, tables):
+    """Correlation of each probe pair's beams against every grid direction,
+    one row per pair, flat order (receive index fastest): row m is
+    kron(nu_tx[c-1], nu_rx[a-1]) for pair m = (a, c), built as one outer
+    product over all pairs."""
+    z = np.asarray(pairs, int) - 1
+    if np.any(z < 0):
+        raise ValueError(f"need flat pair indices >= 1, got {pairs}")
+    a, c = z % tables.x_rx, z // tables.x_rx
+    rows = tables.nu_tx[c][:, :, None] * tables.nu_rx[a][:, None, :]
+    return rows.reshape(len(z), tables.x_rx * tables.x_tx)
+
+
 def correlation_tables(config):
     """Beam cross-correlations for both ends; identity when n = x (DFT orthogonality)."""
     a_rx = config.codebook_rx()

@@ -11,8 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocate import StrategyConfig, apply_strategy, guarded_strategy, rank_pairs
-from .astp import LinkBudget, prior_from_transition
+from .allocate import (
+    PROFILE_KINDS,
+    StrategyConfig,
+    apply_strategy,
+    guarded_strategy,
+    rank_pairs,
+)
+from .astp import Allocation, LinkBudget, prior_from_transition
 from .channel import (
     ChannelState,
     CodebookConfig,
@@ -22,6 +28,7 @@ from .channel import (
     correlation_tables,
     draw_gain,
     pair_index,
+    pair_rows,
     pair_split,
     step_channel,
 )
@@ -48,16 +55,6 @@ class Estimate:
             raise ValueError("estimate indices are 1-based")
         if self.top_two_powers[0] < self.top_two_powers[1]:
             raise ValueError("top_two_powers must be descending")
-
-
-def pair_rows(pairs, tables):
-    """Correlation of each probe pair's beams against every grid direction,
-    one row per pair, flat order (receive index fastest)."""
-    rows = np.empty((len(pairs), tables.x_rx * tables.x_tx), complex)
-    for m, z in enumerate(pairs):
-        a, c = pair_split(z, tables.x_rx)
-        rows[m] = np.kron(tables.nu_tx[c - 1, :], tables.nu_rx[a - 1, :])
-    return rows
 
 
 def synthesize_measurements(alloc, state, tables, budget, rng):
@@ -142,7 +139,9 @@ class Scenario:
     t_blocks: int
     strategy: StrategyConfig
     estimator: str
-    alloc_cache: dict = field(default_factory=dict)
+    alloc_cache: dict = field(default_factory=dict)  # (k, i, kind) -> Allocation
+    # (kind, top-M_B ranked weights as bytes) -> (ranked positions, counts)
+    profile_cache: dict = field(default_factory=dict)
 
 
 def prepare_scenario(codebook, beta_rx, beta_tx, budget, m_b, t_blocks,
@@ -167,14 +166,30 @@ class FrameOutcome:
 
 
 def _allocation_for(scenario, k_est, i_est, strat):
+    """Allocation for the prior after the estimate (k_est, i_est), memoized per
+    estimate. Behind that, the strategies in PROFILE_KINDS share one solve
+    among all priors whose top M_B ranked weights are bitwise equal: the
+    solve is kept as positions in the ranked order plus counts."""
     key = (k_est, i_est, strat.kind)
     alloc = scenario.alloc_cache.get(key)
-    if alloc is None:
-        prior = prior_from_transition(scenario.model, k_est, i_est)
-        ranked = rank_pairs(prior)
-        alloc = apply_strategy(strat, ranked, scenario.m_b, scenario.budget,
+    if alloc is not None:
+        return alloc
+    prior = prior_from_transition(scenario.model, k_est, i_est)
+    ranked = rank_pairs(prior)
+    m_b = scenario.m_b
+    shared = strat.kind in PROFILE_KINDS
+    profile = (strat.kind, ranked.weights[:m_b].tobytes())
+    if shared and profile in scenario.profile_cache:
+        pos, counts = scenario.profile_cache[profile]
+        alloc = Allocation(pairs=ranked.order[pos], counts=counts, budget=m_b)
+    else:
+        alloc = apply_strategy(strat, ranked, m_b, scenario.budget,
                                prior=prior, tables=scenario.tables)
-        scenario.alloc_cache[key] = alloc
+        if shared:
+            top = ranked.order[:m_b].tolist()
+            scenario.profile_cache[profile] = (
+                [top.index(p) for p in alloc.pairs], alloc.counts)
+    scenario.alloc_cache[key] = alloc
     return alloc
 
 

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from itertools import combinations_with_replacement
 
+import beamtrack.allocate as allocate_module
 from beamtrack.allocate import (
     RankedPairs,
     StrategyConfig,
+    _kkt_real_counts,
+    _stationary_roots,
     allocate_bb,
     allocate_exhaustive,
     allocate_kkt,
@@ -332,6 +337,80 @@ def test_bb_dominates_kkt_on_surrogate_at_scale(x, m_b, snr_db):
         n = len(alloc.counts)
         vals.append(approx_astp(alloc.counts, ranked.weights[:n], m_b, budget.r0))
     assert vals[0] >= vals[1]
+
+
+def fixed_bisection_kkt(w, m_b, r0):
+    # the multiplier search with a fixed 200 geometric bisections and no
+    # early stop; otherwise the same bracketing, Newton polish and check
+    def total(mu0):
+        return float(np.maximum(1.0, _stationary_roots(mu0, w, m_b, r0)).sum())
+
+    mu_lo = mu_hi = 1.0
+    while total(mu_lo) < m_b:
+        mu_lo *= 0.5
+    while total(mu_hi) > m_b:
+        mu_hi *= 2.0
+    for _ in range(200):
+        mid = math.sqrt(mu_lo * mu_hi)
+        if total(mid) > m_b:
+            mu_lo = mid
+        else:
+            mu_hi = mid
+    mu0 = math.sqrt(mu_lo * mu_hi)
+    roots = _stationary_roots(mu0, w, m_b, r0)
+    pos = w > 0
+    b = roots[pos]
+    for _ in range(4):
+        f = mu0 * r0 * b ** 3 + w[pos] * b - 2.0 * m_b * w[pos]
+        b = b - f / (3.0 * mu0 * r0 * b * b + w[pos])
+    roots[pos] = b
+    real = np.maximum(1.0, roots)
+    if abs(float(real.sum()) - m_b) > 1e-6:
+        return None
+    return real, mu0, roots
+
+
+def kkt_problems():
+    # every pair count below the budget of the centre-pair prior at desk, mid
+    # and paper scale, then seeded random instances
+    for x, m_b, snr_db in ((4, 12, 0.0), (16, 24, -10.0), (64, 40, -14.0)):
+        config = CodebookConfig(n_tx=x, n_rx=x, x_tx=x, x_rx=x)
+        model = build_transition_model(beta_rx=0.1, beta_tx=0.1, config=config)
+        w = rank_pairs(prior_from_transition(model, k0=x // 2, i0=x // 2)).weights
+        r0 = 10.0 ** (snr_db / 10.0) * x * x
+        for n in range(2, min(m_b, x * x)):
+            yield w[:n], m_b, r0
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        x = int(rng.integers(2, 40))
+        m_b = int(rng.integers(x + 1, 3 * x + 2))
+        w = rank_pairs(random_prior(rng, x)).weights
+        yield w, m_b, float(10.0 ** rng.uniform(-2.0, 3.0))
+
+
+def test_kkt_bisection_stop_is_bit_exact_and_short(monkeypatch):
+    calls = []
+
+    def counted_roots(*args):
+        calls.append(1)
+        return _stationary_roots(*args)
+
+    monkeypatch.setattr(allocate_module, "_stationary_roots", counted_roots)
+    n_solved = 0
+    for w, m_b, r0 in kkt_problems():
+        expected = fixed_bisection_kkt(w, m_b, r0)
+        calls.clear()
+        got = _kkt_real_counts(w, m_b, r0)
+        assert len(calls) <= 100
+        if expected is None:
+            assert got is None
+            continue
+        n_solved += 1
+        assert got[1] == expected[1]
+        assert np.array_equal(got[2], expected[2])
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(round_repair(got[0], m_b), round_repair(expected[0], m_b))
+    assert n_solved > 100
 
 
 def test_kkt_output_is_canonical():

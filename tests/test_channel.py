@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import beamtrack.astp as astp_module
+from beamtrack.astp import Allocation, LinkBudget, omp_gamma_lower_bounds
 from beamtrack.channel import (
     ChannelState,
     CodebookConfig,
@@ -14,6 +16,7 @@ from beamtrack.channel import (
     grid_angles,
     normalize_physical_angle,
     pair_index,
+    pair_rows,
     pair_split,
     step_channel,
 )
@@ -230,3 +233,43 @@ def test_codebook_config_validation():
         CodebookConfig(n_tx=65, n_rx=64, x_tx=64, x_rx=64)
     with pytest.raises(ValueError):
         CodebookConfig(n_tx=4, n_rx=0, x_tx=4, x_rx=4)
+
+
+# ------------------------------------------------------------ pair rows
+
+def kron_rows(pairs, tables):
+    # one np.kron per pair: Tx correlations outside, Rx correlations inside
+    rows = np.empty((len(pairs), tables.x_rx * tables.x_tx), complex)
+    for m, z in enumerate(pairs):
+        a, c = pair_split(z, tables.x_rx)
+        rows[m] = np.kron(tables.nu_tx[c - 1, :], tables.nu_rx[a - 1, :])
+    return rows
+
+
+@pytest.mark.parametrize("config", [
+    CodebookConfig(n_tx=8, n_rx=8, x_tx=8, x_rx=8),  # orthogonal
+    CodebookConfig(n_tx=3, n_rx=5, x_tx=6, x_rx=8),  # overlapped, unequal grids
+])
+@pytest.mark.parametrize("n_pairs", [1, 40])
+def test_pair_rows_equal_a_kron_per_pair(config, n_pairs):
+    tables = correlation_tables(config)
+    rng = np.random.default_rng(n_pairs)
+    for _ in range(5):
+        pairs = tuple(rng.choice(config.x_pairs, size=n_pairs, replace=False) + 1)
+        assert np.array_equal(pair_rows(pairs, tables), kron_rows(pairs, tables))
+
+
+def test_pair_rows_reject_nonpositive_indices():
+    tables = correlation_tables(CodebookConfig(n_tx=4, n_rx=4, x_tx=4, x_rx=4))
+    with pytest.raises(ValueError):
+        pair_rows((3, 0), tables)
+
+
+def test_omp_bound_unchanged_by_shared_pair_rows(monkeypatch):
+    config = CodebookConfig(n_tx=3, n_rx=5, x_tx=6, x_rx=8)
+    tables = correlation_tables(config)
+    budget = LinkBudget(power=2.0, noise_var=1.0, gain_var=1.0, n_tx=3, n_rx=5)
+    alloc = Allocation(pairs=(9, 10, 17, 2, 44), counts=(4, 3, 2, 2, 1), budget=12)
+    shared = omp_gamma_lower_bounds(alloc, tables, budget)
+    monkeypatch.setattr(astp_module, "pair_rows", kron_rows)
+    assert np.array_equal(shared, omp_gamma_lower_bounds(alloc, tables, budget))

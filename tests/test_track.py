@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from beamtrack.allocate import StrategyConfig, allocate_uniform, rank_pairs
+import beamtrack.track as track_module
+from beamtrack.allocate import StrategyConfig, allocate_uniform, apply_strategy, rank_pairs
 from beamtrack.astp import (
     Allocation,
     LinkBudget,
@@ -12,6 +13,7 @@ from beamtrack.astp import (
 from beamtrack.channel import (
     ChannelState,
     CodebookConfig,
+    TransitionModel,
     build_transition_model,
     correlation_tables,
     draw_gain,
@@ -21,6 +23,7 @@ from beamtrack.channel import (
 from beamtrack.track import (
     Estimate,
     MeasurementSet,
+    _allocation_for,
     estimate_omp,
     estimate_power,
     mc_omp_astp,
@@ -307,6 +310,83 @@ def test_ambiguity_guard_switches_to_uniform_probing():
     run_frame(scenario, np.random.SeedSequence(1, spawn_key=(0, 0)))
     kinds = {key[2] for key in scenario.alloc_cache}
     assert kinds == {"kkt", "uniform"}
+
+
+def count_solves(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].kind)
+        return apply_strategy(*args, **kwargs)
+
+    monkeypatch.setattr(track_module, "apply_strategy", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, side, m_b, max_solves", [
+    ("kkt", 16, 24, 36),
+    ("branch_and_bound", 16, 24, 36),
+    ("proportional", 16, 24, 36),
+    ("uniform", 16, 24, 36),
+    ("exhaustive", 4, 6, 3),
+])
+def test_profile_cache_matches_a_solve_on_each_prior(monkeypatch, kind, side, m_b,
+                                                      max_solves):
+    # start states whose priors share their top M_B ranked weights share one
+    # solve; every estimate must still get what its own prior would give
+    config = CodebookConfig(n_tx=side, n_rx=side, x_tx=side, x_rx=side)
+    budget = LinkBudget(power=0.1, noise_var=1.0, gain_var=1.0, n_tx=side, n_rx=side)
+    strategy = StrategyConfig(kind=kind)
+    scenario = prepare_scenario(config, 0.1, 0.1, budget, m_b, 10, strategy, "power")
+    states = [(k, i) for i in range(1, side + 1) for k in range(1, side + 1)]
+    calls = count_solves(monkeypatch)
+    for k, i in states:
+        _allocation_for(scenario, k, i, strategy)
+    solves = len(calls)
+    assert solves <= max_solves
+    assert solves == len(scenario.profile_cache)
+    for k, i in states:
+        prior = prior_from_transition(scenario.model, k, i)
+        expected = apply_strategy(strategy, rank_pairs(prior), m_b, budget,
+                                  prior=prior, tables=scenario.tables)
+        assert _allocation_for(scenario, k, i, strategy) == expected
+    assert len(calls) == solves  # the per-estimate cache answers the repeats
+
+
+def test_profile_covers_the_whole_budget(monkeypatch):
+    # two estimates whose priors agree on their heaviest pairs but not on the
+    # rest of the top M_B must be solved apart
+    rows_rx = np.array([[0.3, 0.3, 0.3, 0.05, 0.05, 0.0],
+                        [0.3, 0.3, 0.1, 0.1, 0.1, 0.1],
+                        [0.0, 0.05, 0.05, 0.3, 0.3, 0.3]] + [[1 / 6] * 6] * 3)
+    model = TransitionModel(beta_rx=0.5, beta_tx=0.5, rows_rx=rows_rx,
+                            rows_tx=np.ones((1, 1)))
+    scenario = desk_scenario(strategy_kind="proportional")
+    scenario.model = model
+    strategy = scenario.strategy
+    calls = count_solves(monkeypatch)
+    allocs = [_allocation_for(scenario, k, 1, strategy) for k in (1, 2, 3)]
+    assert calls == ["proportional"] * 2  # estimate 3 has estimate 1's profile
+    assert allocs[0] == Allocation(pairs=(1, 2, 3), counts=(2, 2, 2), budget=6)
+    assert allocs[1].counts == (2, 2, 1, 1)
+    assert allocs[2] == Allocation(pairs=(4, 5, 6), counts=(2, 2, 2), budget=6)
+
+
+def test_omp_exhaustive_is_never_shared_by_profile(monkeypatch):
+    # the correlation bound reads the whole prior and the overlapped grid, so
+    # equal top weights do not make equal problems
+    config, tables, budget = overlapped_setup()
+    strategy = StrategyConfig(kind="omp_exhaustive")
+    scenario = prepare_scenario(config, 0.1, 0.1, budget, 3, 10, strategy, "omp")
+    calls = count_solves(monkeypatch)
+    for i in range(1, 5):
+        for k in range(1, 5):
+            alloc = _allocation_for(scenario, k, i, strategy)
+            prior = prior_from_transition(scenario.model, k, i)
+            assert alloc == apply_strategy(strategy, rank_pairs(prior), 3, budget,
+                                           prior=prior, tables=tables)
+    assert calls == ["omp_exhaustive"] * 16
+    assert scenario.profile_cache == {}
 
 
 def test_tracking_errors_compound_over_blocks():
