@@ -369,9 +369,9 @@ def guarded_strategy(prev_powers, omega, inner, noise_var):
     """
     if prev_powers is None:
         return inner
-    ps = np.sort(np.asarray(prev_powers, float))[::-1]
-    second = float(ps[1]) if len(ps) > 1 else 0.0
-    if float(ps[0]) - second < omega * noise_var:
+    ps = sorted(prev_powers, reverse=True)
+    second = ps[1] if len(ps) > 1 else 0.0
+    if ps[0] - second < omega * noise_var:
         return StrategyConfig(kind="uniform", omega=inner.omega,
                               candidate_cap=inner.candidate_cap)
     return inner

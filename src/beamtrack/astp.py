@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .channel import pair_rows, pair_split
-from .specfun import QuadratureSpec, harmonic, integrate_semi_infinite, marcum_q1
+from .specfun import (
+    QuadratureSpec,
+    bessel_i0_scaled,
+    harmonic,
+    integrate_semi_infinite,
+    marcum_q1,
+)
 
 
 @dataclass(frozen=True)
@@ -28,6 +34,8 @@ class Allocation:
             raise ValueError("pairs and counts must have equal length")
         if len(self.pairs) == 0:
             raise ValueError("allocation cannot be empty")
+        if min(self.pairs) < 1:
+            raise ValueError(f"pair indices are 1-based, got {self.pairs}")
         if len(set(self.pairs)) != len(self.pairs):
             raise ValueError("pairs must be distinct")
         if any(c < 1 for c in self.counts):
@@ -233,7 +241,7 @@ def gamma_general_numeric(n, alloc, truth, tables, budget, spec=None):
             u = mean_u * v
             root_u = np.sqrt(u)
             dens = np.exp(-(root_u - center) ** 2 / (lam_own * s0)) / (lam_own * s0)
-            dens *= _i0e_scalar(2.0 * budget.gamma * mu_own * np.sqrt(t) * root_u / s0)
+            dens *= bessel_i0_scaled(2.0 * budget.gamma * mu_own * np.sqrt(t) * root_u / s0)
             prod = 1.0
             for am, bm in zip(a_t, b_coef):
                 prod *= 1.0 - marcum_q1(am, bm * root_u)
@@ -247,12 +255,6 @@ def gamma_general_numeric(n, alloc, truth, tables, budget, spec=None):
         return inner(sa2 * s) * np.exp(-s)
 
     return float(integrate_semi_infinite(outer, spec))
-
-
-def _i0e_scalar(x):
-    from scipy.special import i0e
-
-    return float(i0e(x))
 
 
 class OmpBound(NamedTuple):

@@ -4,19 +4,16 @@ Grid indices are 1-based throughout: AoA index k in {1..X_R}, AoD index i in
 {1..X_T}, and a beam pair (k, i) flattens to n = k + X_R*(i - 1).
 """
 
+from bisect import bisect_right
+from dataclasses import dataclass, field
+
 import numpy as np
-from dataclasses import dataclass
 
 
 def array_response(angle, n_antennas):
     """Unit-norm ULA response: entry m is exp(j*(m-1)*angle)/sqrt(n)."""
     m = np.arange(n_antennas)
     return np.exp(1j * m * angle) / np.sqrt(n_antennas)
-
-
-def normalize_physical_angle(physical, spacing_ratio=0.5):
-    """Physical angle -> normalized spatial frequency 2*pi*(d/lambda_s)*sin(angle)."""
-    return 2.0 * np.pi * spacing_ratio * np.sin(physical)
 
 
 def grid_angles(x):
@@ -76,6 +73,24 @@ class TransitionModel:
     beta_tx: float
     rows_rx: np.ndarray  # X_R x X_R, row k0 is the next-AoA distribution
     rows_tx: np.ndarray  # X_T x X_T
+    # cumulative rows as float lists, derived from the rows above
+    cdf_rx: list = field(init=False, repr=False, compare=False)
+    cdf_tx: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cdf_rx", _cdf_rows(self.rows_rx))
+        object.__setattr__(self, "cdf_tx", _cdf_rows(self.rows_tx))
+
+
+def _cdf_rows(rows):
+    # the CDF that Generator.choice(x, p=row) builds for every draw: a
+    # sequential cumsum scaled by its last entry, searched with side='right'
+    out = []
+    for row in np.asarray(rows, float):
+        cdf = row.cumsum()
+        cdf /= cdf[-1]
+        out.append(cdf.tolist())
+    return out
 
 
 def _markov_rows(beta, x):
@@ -114,12 +129,11 @@ def step_channel(state, model, rng):
     """Advance one block: Markov step on both indices, fresh CN(0, var) gain.
 
     Draw order is fixed (AoA, AoD, gain) so identically seeded streams give
-    identical trajectories.
+    identical trajectories. Each index is one uniform draw searched in the
+    row's CDF, the same draw and search as rng.choice(x, p=row).
     """
-    x_rx = model.rows_rx.shape[0]
-    x_tx = model.rows_tx.shape[0]
-    k1 = int(rng.choice(x_rx, p=model.rows_rx[state.aoa_index - 1])) + 1
-    i1 = int(rng.choice(x_tx, p=model.rows_tx[state.aod_index - 1])) + 1
+    k1 = bisect_right(model.cdf_rx[state.aoa_index - 1], rng.random()) + 1
+    i1 = bisect_right(model.cdf_tx[state.aod_index - 1], rng.random()) + 1
     return ChannelState(aoa_index=k1, aod_index=i1,
                         gain=draw_gain(state.gain_variance, rng),
                         gain_variance=state.gain_variance)

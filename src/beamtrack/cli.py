@@ -117,7 +117,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"sweep must be one of {SWEEP_KINDS}, got {self.sweep!r}")
         if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.gain_var <= 0:
             raise ValueError(f"gain_var must be positive, got {self.gain_var}")
         # the JSON output echoes these, and strict JSON has no NaN or Infinity
@@ -492,11 +492,15 @@ def main(argv=None):
         env_seed = os.environ.get("BEAMTRACK_SEED")
         if env_seed is not None:
             try:
-                config = replace(config, seed=int(env_seed))
+                seed = int(env_seed)
             except ValueError as exc:
                 raise ConfigError(
                     f"BEAMTRACK_SEED must be an integer, got {env_seed!r}"
                 ) from exc
+            try:
+                config = replace(config, seed=seed)
+            except ValueError as exc:
+                raise ConfigError(f"BEAMTRACK_SEED: {exc}") from exc
         if args.workers < 1:
             raise ConfigError("--workers must be at least 1")
         if args.preset == "paper":

@@ -43,16 +43,6 @@ def bessel_i0_scaled(x):
     return float(special.i0e(x))
 
 
-def bessel_i0(x):
-    """I0(x) for small x (< 50); use bessel_i0_scaled beyond that range."""
-    x = float(x)
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x >= 50:
-        raise ValueError(f"unscaled I0 restricted to x < 50, got {x}")
-    return float(special.i0(x))
-
-
 def harmonic(n):
     """Harmonic number: sum_{k=1..n} 1/k, harmonic(0) = 0."""
     n = int(n)

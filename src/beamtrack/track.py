@@ -27,7 +27,6 @@ from .channel import (
     build_transition_model,
     correlation_tables,
     draw_gain,
-    pair_index,
     pair_rows,
     pair_split,
     step_channel,
@@ -40,7 +39,8 @@ ESTIMATORS = ("power", "omp")
 class MeasurementSet:
     xi: np.ndarray  # accumulated complex readout per allocated pair
     per_symbol: np.ndarray  # raw received symbols in transmission order
-    sensing_rows: np.ndarray  # per-symbol correlation row against the whole grid
+    pairs: tuple  # the allocation's flat pair indices, in transmission order
+    counts: tuple  # symbols sent on each pair, consecutively
     x_rx: int  # receive-grid size, needed to split flat pair indices
 
 
@@ -62,29 +62,34 @@ def synthesize_measurements(alloc, state, tables, budget, rng):
     with their repeats consecutive.
 
     Each symbol sees the channel through the probe beams' correlation with
-    the true direction; noise is circular complex with variance noise_var
-    (all real parts drawn first, then all imaginary parts). The per-pair
-    readout xi accumulates each pair's symbols left to right so reruns are
-    bitwise reproducible.
+    the true direction, nu_tx[c, i1] * nu_rx[a, k1] for pair (a, c): the
+    truth column of pair_rows, entry for entry. Noise is circular complex
+    with variance noise_var (all real parts drawn first, then all imaginary
+    parts). The per-pair readout xi accumulates each pair's symbols left to
+    right so reruns are bitwise reproducible.
     """
-    rows = pair_rows(alloc.pairs, tables)
-    truth = pair_index(state.aoa_index, state.aod_index, tables.x_rx)
-    mean = budget.gamma * state.gain * rows[:, truth - 1]
-    reps = np.asarray(alloc.counts)
+    c, a = np.divmod(np.asarray(alloc.pairs) - 1, tables.x_rx)
+    # one vectorized product, like pair_rows: numpy's scalar complex product
+    # can round the last bit differently
+    truth_col = (tables.nu_tx[c, state.aod_index - 1]
+                 * tables.nu_rx[a, state.aoa_index - 1])
+    mean = budget.gamma * state.gain * truth_col
     m_total = alloc.budget
+    draws = rng.standard_normal(2 * m_total)
     noise = np.sqrt(budget.noise_var / 2.0) * (
-        rng.standard_normal(m_total) + 1j * rng.standard_normal(m_total))
-    per_symbol = np.repeat(mean, reps) + noise
-    xi = np.empty(alloc.n_pairs, complex)
+        draws[:m_total] + 1j * draws[m_total:])
+    per_symbol = np.repeat(mean, alloc.counts) + noise
+    symbols = per_symbol.tolist()
+    xi = []
     start = 0
-    for m, lam in enumerate(alloc.counts):
+    for lam in alloc.counts:
         acc = 0j
-        for j in range(start, start + lam):
-            acc += per_symbol[j]
-        xi[m] = acc
+        for y in symbols[start:start + lam]:
+            acc += y
+        xi.append(acc)
         start += lam
-    return MeasurementSet(xi=xi, per_symbol=per_symbol,
-                          sensing_rows=np.repeat(rows, reps, axis=0),
+    return MeasurementSet(xi=np.array(xi), per_symbol=per_symbol,
+                          pairs=alloc.pairs, counts=alloc.counts,
                           x_rx=tables.x_rx)
 
 
@@ -98,35 +103,22 @@ def _top_two(values):
 def estimate_power(meas, alloc):
     """Pick the allocated pair with the largest accumulated power; exact ties
     go to the lowest flat pair index."""
-    powers = np.abs(meas.xi) ** 2
-    top = powers.max()
+    powers = (np.abs(meas.xi) ** 2).tolist()
+    top = max(powers)
     z = min(p for p, v in zip(alloc.pairs, powers) if v == top)
     k, i = pair_split(z, meas.x_rx)
-    return Estimate(aoa_index=k, aod_index=i, top_two_powers=_top_two(powers))
+    second = sorted(powers)[-2] if len(powers) > 1 else 0.0
+    return Estimate(aoa_index=k, aod_index=i, top_two_powers=(top, second))
 
 
-def estimate_omp(meas, tables, config, n_support=1):
+def estimate_omp(meas, tables, config):
     """Correlate the raw symbols against every grid column and take the
-    argmax (ties to the lowest flat index).
-
-    Structured as a matching-pursuit loop; with a single support element the
-    residual peeled at the end of the pass is never consumed.
-    """
-    a = meas.sensing_rows
-    residual = meas.per_symbol
-    first_scores = None
-    chosen = 0
-    for _ in range(n_support):
-        scores = np.abs(a.conj().T @ residual) ** 2
-        if first_scores is None:
-            first_scores = scores
-            chosen = int(np.argmax(scores))
-        col = a[:, int(np.argmax(scores))]
-        energy = float(np.real(col.conj() @ col))
-        coef = (col.conj() @ residual) / energy if energy > 0 else 0.0
-        residual = residual - coef * col
-    k, i = pair_split(chosen + 1, config.x_rx)
-    return Estimate(aoa_index=k, aod_index=i, top_two_powers=_top_two(first_scores))
+    argmax (ties to the lowest flat index). Each symbol's row is its pair's
+    row of pair_rows."""
+    rows = np.repeat(pair_rows(meas.pairs, tables), meas.counts, axis=0)
+    scores = np.abs(rows.conj().T @ meas.per_symbol) ** 2
+    k, i = pair_split(int(np.argmax(scores)) + 1, config.x_rx)
+    return Estimate(aoa_index=k, aod_index=i, top_two_powers=_top_two(scores))
 
 
 @dataclass
@@ -142,6 +134,19 @@ class Scenario:
     alloc_cache: dict = field(default_factory=dict)  # (k, i, kind) -> Allocation
     # (kind, top-M_B ranked weights as bytes) -> (ranked positions, counts)
     profile_cache: dict = field(default_factory=dict)
+    # |nu_rx|^2 and |nu_tx|^2 as nested float lists, read by the frame loop
+    gain_rx: list = field(init=False, repr=False)
+    gain_tx: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.gain_rx = _squared_magnitudes(self.tables.nu_rx)
+        self.gain_tx = _squared_magnitudes(self.tables.nu_tx)
+
+
+def _squared_magnitudes(nu):
+    # entry by entry, as abs(scalar) ** 2: numpy's vectorized complex abs can
+    # differ from the scalar one in the last bit
+    return [[float(abs(v) ** 2) for v in row] for row in nu]
 
 
 def prepare_scenario(codebook, beta_rx, beta_tx, budget, m_b, t_blocks,
@@ -206,27 +211,26 @@ def run_frame(scenario, seed_seq):
                          gain_variance=scenario.budget.gain_var)
     k_est, i_est = state.aoa_index, state.aod_index  # first block knows the truth
     prev_stats = None
-    n_tracked = scenario.t_blocks - 1
-    hits = np.zeros(n_tracked, bool)
-    gains = np.zeros(n_tracked)
-    for b in range(n_tracked):
-        state = step_channel(state, scenario.model, rng_ch)
-        strat = guarded_strategy(prev_stats, scenario.strategy.omega,
-                                 scenario.strategy, scenario.budget.noise_var)
+    model, tables, budget = scenario.model, scenario.tables, scenario.budget
+    strategy, omega = scenario.strategy, scenario.strategy.omega
+    by_power = scenario.estimator == "power"
+    gain_rx, gain_tx = scenario.gain_rx, scenario.gain_tx
+    hits, gains = [], []
+    for _ in range(scenario.t_blocks - 1):
+        state = step_channel(state, model, rng_ch)
+        strat = guarded_strategy(prev_stats, omega, strategy, budget.noise_var)
         alloc = _allocation_for(scenario, k_est, i_est, strat)
-        meas = synthesize_measurements(alloc, state, scenario.tables,
-                                       scenario.budget, rng_noise)
-        if scenario.estimator == "power":
+        meas = synthesize_measurements(alloc, state, tables, budget, rng_noise)
+        if by_power:
             est = estimate_power(meas, alloc)
         else:
-            est = estimate_omp(meas, scenario.tables, cb)
-        hits[b] = (est.aoa_index == state.aoa_index
-                   and est.aod_index == state.aod_index)
-        gains[b] = (abs(scenario.tables.nu_rx[est.aoa_index - 1, state.aoa_index - 1]) ** 2
-                    * abs(scenario.tables.nu_tx[est.aod_index - 1, state.aod_index - 1]) ** 2)
+            est = estimate_omp(meas, tables, cb)
         k_est, i_est = est.aoa_index, est.aod_index
+        k, i = state.aoa_index, state.aod_index
+        hits.append(k_est == k and i_est == i)
+        gains.append(gain_rx[k_est - 1][k - 1] * gain_tx[i_est - 1][i - 1])
         prev_stats = est.top_two_powers
-    return FrameOutcome(hits=hits, gains=gains)
+    return FrameOutcome(hits=np.array(hits, bool), gains=np.array(gains, float))
 
 
 def mc_omp_astp(alloc, prior, tables, budget, n_trials, rng, chunk=20_000):

@@ -99,6 +99,8 @@ def test_allocation_rejects_malformed_inputs():
         Allocation(pairs=(), counts=(), budget=0)
     with pytest.raises(ValueError):
         Allocation(pairs=(1, 2), counts=(2,), budget=2)
+    with pytest.raises(ValueError):
+        Allocation(pairs=(0, 2), counts=(1, 1), budget=2)
 
 
 def test_link_budget_scalars():

@@ -14,7 +14,6 @@ from beamtrack.channel import (
     correlation_tables,
     draw_gain,
     grid_angles,
-    normalize_physical_angle,
     pair_index,
     pair_rows,
     pair_split,
@@ -52,12 +51,6 @@ def test_grid_angles_spacing_and_symmetry():
         np.testing.assert_allclose(np.diff(ang), 2 * np.pi / x)
         np.testing.assert_allclose(ang, -ang[::-1], atol=1e-12)
         assert ang[0] > -np.pi and ang[-1] < np.pi
-
-
-def test_normalize_physical_angle():
-    assert normalize_physical_angle(0.0, 0.5) == 0.0
-    assert abs(normalize_physical_angle(np.pi / 2, 0.5) - np.pi) < 1e-12
-    assert abs(normalize_physical_angle(np.pi / 6, 0.5) - np.pi / 2) < 1e-12
 
 
 # ---------------------------------------------------------------- indexing
@@ -180,6 +173,34 @@ def test_step_sticky_chain_stay_probability():
     stays = sum(step_channel(state, model, rng).aoa_index == k0 for _ in range(n))
     p = model.rows_rx[k0 - 1, k0 - 1]
     assert abs(stays / n - p) < 3 * np.sqrt(p * (1 - p) / n)
+
+
+def choice_step(state, model, rng):
+    # the step as it was drawn before the cumulative rows: rng.choice per index
+    x_rx = model.rows_rx.shape[0]
+    x_tx = model.rows_tx.shape[0]
+    k1 = int(rng.choice(x_rx, p=model.rows_rx[state.aoa_index - 1])) + 1
+    i1 = int(rng.choice(x_tx, p=model.rows_tx[state.aod_index - 1])) + 1
+    return ChannelState(aoa_index=k1, aod_index=i1,
+                        gain=draw_gain(state.gain_variance, rng),
+                        gain_variance=state.gain_variance)
+
+
+@pytest.mark.parametrize("x", [4, 5, 64])
+@pytest.mark.parametrize("beta", [0.0, 0.1, 0.7, 1.0])
+def test_step_draws_what_rng_choice_draws(beta, x):
+    # the inverse-CDF step must reproduce rng.choice draw for draw and leave
+    # the generator where rng.choice leaves it
+    cfg = CodebookConfig(n_tx=x, n_rx=x, x_tx=x, x_rx=x)
+    model = build_transition_model(beta, 1.0 - beta, cfg)
+    rng_new = np.random.default_rng(1000 * x + int(10 * beta))
+    rng_old = np.random.default_rng(1000 * x + int(10 * beta))
+    state = ChannelState(aoa_index=1, aod_index=x, gain=0j, gain_variance=1.0)
+    for _ in range(3000):
+        new = step_channel(state, model, rng_new)
+        assert new == choice_step(state, model, rng_old)
+        state = new
+    assert rng_new.random() == rng_old.random()
 
 
 def test_draw_gain_is_circular_complex_normal():

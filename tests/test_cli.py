@@ -333,7 +333,7 @@ def test_main_unwritable_output_is_exit_two(tmp_path):
     assert code == 2
 
 
-def test_seed_env_var_overrides_config(tmp_path, monkeypatch):
+def test_seed_env_var_overrides_config(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, seed=7)
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -346,6 +346,13 @@ def test_seed_env_var_overrides_config(tmp_path, monkeypatch):
     assert row_a[-1] == "99" and row_b[-1] == "7"
     monkeypatch.setenv("BEAMTRACK_SEED", "eleven")
     assert main(["run", "--config", str(cfg), "--out", str(out_a)]) == 2
+    assert "must be an integer, got 'eleven'" in capsys.readouterr().err
+    for value in ("-1", str(2 ** 64)):
+        monkeypatch.setenv("BEAMTRACK_SEED", value)
+        assert main(["run", "--config", str(cfg), "--out", str(out_a)]) == 2
+        err = capsys.readouterr().err
+        assert "[0, 2**64)" in err and value in err
+        assert "must be an integer" not in err
 
 
 def test_same_seed_gives_byte_identical_csv(tmp_path):

@@ -8,7 +8,6 @@ from scipy import integrate
 from beamtrack.specfun import (
     ConvergenceError,
     QuadratureSpec,
-    bessel_i0,
     bessel_i0_scaled,
     harmonic,
     integrate_semi_infinite,
@@ -71,12 +70,6 @@ def test_i0_scaled_large_argument_asymptotic():
 def test_i0_scaled_rejects_negative():
     with pytest.raises(ValueError):
         bessel_i0_scaled(-0.5)
-
-
-def test_i0_unscaled_small_range_only():
-    assert abs(bessel_i0(1.0) - i0_series(1.0)) < 1e-12
-    with pytest.raises(ValueError):
-        bessel_i0(50.0)
 
 
 # ---------------------------------------------------------------- marcum

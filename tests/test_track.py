@@ -66,7 +66,8 @@ def test_noise_free_readout_is_count_scaled_gain():
     for m in (0, 2, 3):
         assert abs(meas.xi[m]) < 1e-12
     assert len(meas.per_symbol) == alloc.budget
-    assert meas.sensing_rows.shape == (alloc.budget, 4)
+    sensing_rows = np.repeat(pair_rows(meas.pairs, tables), meas.counts, axis=0)
+    assert sensing_rows.shape == (alloc.budget, 4)
 
 
 def test_readout_accumulates_symbols_left_to_right():
@@ -100,6 +101,81 @@ def test_overlapped_readout_mean_matches_model():
     assert np.all(np.abs(mean - expected) < tol + 1e-12)
 
 
+def synthesize_by_rows(alloc, state, tables, budget, rng):
+    # synthesis as it was before the truth column: full pair rows, a repeated
+    # sensing matrix, two noise draws and a double loop for xi
+    rows = pair_rows(alloc.pairs, tables)
+    truth = pair_index(state.aoa_index, state.aod_index, tables.x_rx)
+    mean = budget.gamma * state.gain * rows[:, truth - 1]
+    reps = np.asarray(alloc.counts)
+    m_total = alloc.budget
+    noise = np.sqrt(budget.noise_var / 2.0) * (
+        rng.standard_normal(m_total) + 1j * rng.standard_normal(m_total))
+    per_symbol = np.repeat(mean, reps) + noise
+    xi = np.empty(alloc.n_pairs, complex)
+    start = 0
+    for m, lam in enumerate(alloc.counts):
+        acc = 0j
+        for j in range(start, start + lam):
+            acc += per_symbol[j]
+        xi[m] = acc
+        start += lam
+    return xi, per_symbol, np.repeat(rows, reps, axis=0)
+
+
+BIT_EXACT_GRIDS = [
+    CodebookConfig(n_tx=8, n_rx=8, x_tx=8, x_rx=8),
+    CodebookConfig(n_tx=5, n_rx=3, x_tx=8, x_rx=6),
+]
+
+
+@pytest.mark.parametrize("config", BIT_EXACT_GRIDS)
+def test_truth_column_synthesis_is_bit_exact(config):
+    # one segment of 12 repeats: a pairwise sum would part from the strict
+    # left-to-right one from 8 repeats on
+    tables = correlation_tables(config)
+    budget = LinkBudget(power=0.7, noise_var=1.3, gain_var=1.0,
+                        n_tx=config.n_tx, n_rx=config.n_rx)
+    alloc = Allocation(pairs=(9, 2, 40, 17, 48, 33), counts=(12, 3, 1, 9, 2, 5),
+                       budget=32)
+    rng_new = np.random.default_rng(31)
+    rng_old = np.random.default_rng(31)
+    for truth in range(1, config.x_pairs + 1):
+        k, i = pair_split(truth, config.x_rx)
+        state = ChannelState(aoa_index=k, aod_index=i,
+                             gain=draw_gain(1.0, rng_new), gain_variance=1.0)
+        assert state.gain == draw_gain(1.0, rng_old)
+        meas = synthesize_measurements(alloc, state, tables, budget, rng_new)
+        xi, per_symbol, _ = synthesize_by_rows(alloc, state, tables, budget, rng_old)
+        assert np.array_equal(meas.xi, xi)
+        assert np.array_equal(meas.per_symbol, per_symbol)
+        assert (meas.pairs, meas.counts) == (alloc.pairs, alloc.counts)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@pytest.mark.parametrize("config", BIT_EXACT_GRIDS)
+def test_omp_rows_from_pairs_give_the_sensing_matrix_scores(config):
+    tables = correlation_tables(config)
+    budget = LinkBudget(power=0.2, noise_var=1.0, gain_var=1.0,
+                        n_tx=config.n_tx, n_rx=config.n_rx)
+    alloc = Allocation(pairs=(9, 2, 40, 17, 48, 33), counts=(12, 3, 1, 9, 2, 5),
+                       budget=32)
+    rng = np.random.default_rng(47)
+    for truth in range(1, config.x_pairs + 1):
+        k, i = pair_split(truth, config.x_rx)
+        state = ChannelState(aoa_index=k, aod_index=i,
+                             gain=draw_gain(1.0, rng), gain_variance=1.0)
+        meas = synthesize_measurements(alloc, state, tables, budget, rng)
+        _, _, sensing_rows = synthesize_by_rows(alloc, state, tables, budget,
+                                                np.random.default_rng(0))
+        scores = np.abs(sensing_rows.conj().T @ meas.per_symbol) ** 2
+        best = int(np.argmax(scores))
+        two = np.partition(scores, len(scores) - 2)[-2:]
+        est = estimate_omp(meas, tables, config)
+        assert pair_index(est.aoa_index, est.aod_index, config.x_rx) == best + 1
+        assert est.top_two_powers == (float(two[1]), float(two[0]))
+
+
 # ----------------------------------------------------------------- estimators
 
 def test_power_estimator_finds_truth_without_noise():
@@ -122,10 +198,10 @@ def test_power_estimator_stays_inside_allocation():
 
 
 def test_power_estimator_breaks_ties_toward_lowest_pair():
+    alloc = Allocation(pairs=(7, 2), counts=(1, 1), budget=2)
     meas = MeasurementSet(xi=np.array([2.0 + 0j, 2.0 + 0j]),
                           per_symbol=np.zeros(2, complex),
-                          sensing_rows=np.zeros((2, 8), complex), x_rx=4)
-    alloc = Allocation(pairs=(7, 2), counts=(1, 1), budget=2)
+                          pairs=alloc.pairs, counts=alloc.counts, x_rx=4)
     est = estimate_power(meas, alloc)
     assert pair_index(est.aoa_index, est.aod_index, 4) == 2
 
@@ -170,7 +246,8 @@ def test_omp_scores_vanish_off_allocation_when_orthogonal():
     alloc = Allocation(pairs=(2, 4), counts=(3, 3), budget=6)
     state = ChannelState(aoa_index=2, aod_index=1, gain=1.0 + 0j, gain_variance=1.0)
     meas = synthesize_measurements(alloc, state, tables, budget, np.random.default_rng(2))
-    scores = np.abs(meas.sensing_rows.conj().T @ meas.per_symbol) ** 2
+    sensing_rows = np.repeat(pair_rows(meas.pairs, tables), meas.counts, axis=0)
+    scores = np.abs(sensing_rows.conj().T @ meas.per_symbol) ** 2
     # the codebook gram carries ~1e-16 rounding dust, so "zero" means
     # twenty-plus orders of magnitude below the in-allocation scores
     assert np.all(scores[[0, 2, 4]] < 1e-24 * scores.max())
@@ -281,6 +358,19 @@ def test_frame_is_deterministic_for_a_given_seed():
     assert np.array_equal(a.gains, b.gains)
     c = run_frame(desk_scenario(), np.random.SeedSequence(42, spawn_key=(3, 12)))
     assert not (np.array_equal(a.hits, c.hits) and np.array_equal(a.gains, c.gains))
+
+
+def test_gain_tables_hold_the_per_entry_squared_magnitudes():
+    # the frame loop reads these instead of abs(nu[e, s]) ** 2 per block;
+    # numpy's vectorized abs would differ in the last bit on overlapped grids
+    config = CodebookConfig(n_tx=5, n_rx=3, x_tx=8, x_rx=6)
+    budget = LinkBudget(power=1.0, noise_var=1.0, gain_var=1.0, n_tx=5, n_rx=3)
+    scenario = prepare_scenario(config, 0.3, 0.3, budget, 6, 10,
+                                StrategyConfig(kind="kkt"), "omp")
+    for table, nu in ((scenario.gain_rx, scenario.tables.nu_rx),
+                      (scenario.gain_tx, scenario.tables.nu_tx)):
+        assert table == [[abs(nu[e, s]) ** 2 for s in range(nu.shape[1])]
+                         for e in range(nu.shape[0])]
 
 
 def test_frozen_channel_is_tracked_perfectly_without_noise():
