@@ -15,11 +15,11 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .allocate import STRATEGY_KINDS, StrategyConfig
+from .allocate import StrategyConfig
 from .astp import LinkBudget
 from .channel import CodebookConfig
 from .track import ESTIMATORS, prepare_scenario, run_frame
@@ -47,22 +47,17 @@ _DEFAULTS = {
     "seed": 1,
     "sweep": "snr",
     "sweep_values": None,
-    "m_t": None,
-    "m_c": None,
 }
 
 # Preset overlays, applied under whatever the config file pins down.  "desk"
-# is small enough for laptops and CI; "paper" is the full 64-per-side grid.
+# is small enough for laptops and CI; "paper" is the defaults themselves, the
+# full 64-per-side grid, and announces its runtime before it starts.
 _PRESETS = {
     "desk": {
         "codebook": {"n_tx": 4, "n_rx": 4, "x_tx": 4, "x_rx": 4},
         "m_b": 12,
-        "n_frames": 2000,
     },
-    "paper": {
-        "codebook": {"n_tx": 64, "n_rx": 64, "x_tx": 64, "x_rx": 64},
-        "m_b": 40,
-    },
+    "paper": {},
 }
 
 
@@ -74,9 +69,8 @@ class ConfigError(Exception):
 class ExperimentConfig:
     """One campaign: a codebook, a channel model, and a sweep definition.
 
-    m_t and m_c document the per-block symbol budget (block length and the
-    conventional full-sweep cost).  They are carried for reporting only; the
-    data phase is not simulated.
+    A sweep point is an ExperimentConfig too: the campaign's config with the
+    swept setting replaced, run at its first snr_db entry.
     """
 
     codebook: CodebookConfig
@@ -91,8 +85,6 @@ class ExperimentConfig:
     sweep: str
     sweep_values: tuple = None
     gain_var: float = 1.0
-    m_t: int = None
-    m_c: int = None
 
     def __post_init__(self):
         if len(self.betas) != 2:
@@ -126,9 +118,6 @@ class ExperimentConfig:
                              ("strategy.omega", self.strategy.omega)]):
             if not math.isfinite(val):
                 raise ValueError(f"{name} must be finite, got {val}")
-        for name, val in (("m_t", self.m_t), ("m_c", self.m_c)):
-            if val is not None and val < 1:
-                raise ValueError(f"{name} must be a positive symbol count")
         if self.sweep in ("beta", "m_b"):
             if not self.sweep_values:
                 raise ValueError(
@@ -202,6 +191,27 @@ def _require_keys(raw, allowed, where):
             + ", ".join(unknown))
 
 
+def _integer(name, value):
+    # JSON has one number type: 1e3 is a count, 2.5, true and "3" are not
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _number(name, value):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _numbers(name, value):
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(_number(f"{name} entry", v) for v in value)
+
+
 def load_config(path, preset=None):
     """Read a JSON config, overlay it on the preset and global defaults.
 
@@ -240,20 +250,18 @@ def load_config(path, preset=None):
         sweep_values = resolved["sweep_values"]
         return ExperimentConfig(
             codebook=codebook,
-            betas=tuple(float(b) for b in resolved["betas"]),
-            snr_db=tuple(float(s) for s in resolved["snr_db"]),
-            m_b=int(resolved["m_b"]),
-            t_blocks=int(resolved["t_blocks"]),
-            n_frames=int(resolved["n_frames"]),
+            betas=_numbers("betas", resolved["betas"]),
+            snr_db=_numbers("snr_db", resolved["snr_db"]),
+            m_b=_integer("m_b", resolved["m_b"]),
+            t_blocks=_integer("t_blocks", resolved["t_blocks"]),
+            n_frames=_integer("n_frames", resolved["n_frames"]),
             strategy=strategy,
             estimator=resolved["estimator"],
-            seed=int(resolved["seed"]),
+            seed=_integer("seed", resolved["seed"]),
             sweep=resolved["sweep"],
             sweep_values=None if sweep_values is None
-            else tuple(float(v) for v in sweep_values),
-            gain_var=float(resolved["gain_var"]),
-            m_t=resolved["m_t"],
-            m_c=resolved["m_c"],
+            else _numbers("sweep_values", sweep_values),
+            gain_var=_number("gain_var", resolved["gain_var"]),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -261,84 +269,61 @@ def load_config(path, preset=None):
 
 def config_echo(config):
     """Every resolved setting, for the JSON output header."""
-    return {
-        "codebook": {"n_tx": config.codebook.n_tx, "n_rx": config.codebook.n_rx,
-                     "x_tx": config.codebook.x_tx, "x_rx": config.codebook.x_rx},
-        "betas": list(config.betas),
-        "snr_db": list(config.snr_db),
-        "m_b": config.m_b,
-        "t_blocks": config.t_blocks,
-        "n_frames": config.n_frames,
-        "strategy": {"kind": config.strategy.kind, "omega": config.strategy.omega,
-                     "candidate_cap": config.strategy.candidate_cap},
-        "estimator": config.estimator,
-        "seed": config.seed,
-        "sweep": config.sweep,
-        "sweep_values": None if config.sweep_values is None
-        else list(config.sweep_values),
-        "gain_var": config.gain_var,
-        "m_t": config.m_t,
-        "m_c": config.m_c,
-        "noise_var": NOISE_VAR,
-        "transition_distance": "linear",
-        "omega_normalized_by_noise": True,
-    }
+    return {**asdict(config), "noise_var": NOISE_VAR,
+            "transition_distance": "linear", "omega_normalized_by_noise": True}
 
 
 def _sweep_points(config):
-    """(sweep_value, scenario overrides) per point; block_index has one run."""
-    base_power = 10.0 ** (config.snr_db[0] / 10.0)
+    """(sweep_value, point config) per point; block_index has one run."""
+    first = config.snr_db[:1]
     if config.sweep == "snr":
-        return [(db, {"power": 10.0 ** (db / 10.0)}) for db in config.snr_db]
+        return [(db, replace(config, snr_db=(db,))) for db in config.snr_db]
     if config.sweep == "beta":
-        return [(b, {"power": base_power, "beta_rx": b})
+        return [(b, replace(config, snr_db=first, betas=(b, config.betas[1])))
                 for b in config.sweep_values]
     if config.sweep == "m_b":
-        return [(m, {"power": base_power, "m_b": int(m)})
+        return [(m, replace(config, snr_db=first, m_b=int(m)))
                 for m in config.sweep_values]
-    return [(float("nan"), {"power": base_power})]
-
-
-def _scenario_args(config, overrides):
-    cb = config.codebook
-    return (cb.n_tx, cb.n_rx, cb.x_tx, cb.x_rx,
-            overrides.get("beta_rx", config.betas[0]), config.betas[1],
-            overrides["power"], NOISE_VAR, config.gain_var,
-            overrides.get("m_b", config.m_b), config.t_blocks,
-            config.strategy.kind, config.strategy.omega,
-            config.strategy.candidate_cap, config.estimator)
+    return [(float("nan"), replace(config, snr_db=first))]
 
 
 def _run_chunk(task):
     """Run frames [lo, hi) of one sweep point; must stay picklable."""
-    (args, seed, point_idx, lo, hi) = task
-    (n_tx, n_rx, x_tx, x_rx, beta_rx, beta_tx, power, noise_var, gain_var,
-     m_b, t_blocks, kind, omega, cap, estimator) = args
-    codebook = CodebookConfig(n_tx=n_tx, n_rx=n_rx, x_tx=x_tx, x_rx=x_rx)
-    budget = LinkBudget(power=power, noise_var=noise_var, gain_var=gain_var,
-                        n_tx=n_tx, n_rx=n_rx)
-    strategy = StrategyConfig(kind=kind, omega=omega, candidate_cap=cap)
-    scenario = prepare_scenario(codebook, beta_rx, beta_tx, budget, m_b,
-                                t_blocks, strategy, estimator)
-    hits = np.empty((hi - lo, t_blocks - 1), dtype=bool)
-    gains = np.empty((hi - lo, t_blocks - 1))
+    point, point_idx, lo, hi = task
+    cb = point.codebook
+    budget = LinkBudget(power=10.0 ** (point.snr_db[0] / 10.0),
+                        noise_var=NOISE_VAR, gain_var=point.gain_var,
+                        n_tx=cb.n_tx, n_rx=cb.n_rx)
+    scenario = prepare_scenario(cb, point.betas[0], point.betas[1], budget,
+                                point.m_b, point.t_blocks, point.strategy,
+                                point.estimator)
+    hits = np.empty((hi - lo, point.t_blocks - 1), dtype=bool)
+    gains = np.empty((hi - lo, point.t_blocks - 1))
     for row, frame in enumerate(range(lo, hi)):
-        out = run_frame(scenario,
-                        np.random.SeedSequence(seed, spawn_key=(point_idx, frame)))
+        out = run_frame(scenario, np.random.SeedSequence(
+            point.seed, spawn_key=(point_idx, frame)))
         hits[row] = out.hits
         gains[row] = out.gains
     return hits, gains
 
 
-def _run_point(config, overrides, point_idx, workers):
-    args = _scenario_args(config, overrides)
-    n = config.n_frames
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _run_point(point, point_idx, workers):
+    n = point.n_frames
     if workers <= 1 or n < 2 * workers:
-        return _run_chunk((args, config.seed, point_idx, 0, n))
+        return _run_chunk((point, point_idx, 0, n))
     bounds = np.linspace(0, n, workers + 1).astype(int)
-    tasks = [(args, config.seed, point_idx, int(lo), int(hi))
+    tasks = [(point, point_idx, int(lo), int(hi))
              for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the chunking follows the worker count; the processes never outnumber
+    # the CPUs this process may run on
+    with ProcessPoolExecutor(max_workers=min(workers, _usable_cpus())) as pool:
         parts = list(pool.map(_run_chunk, tasks))
     # frame seeds depend only on (point, frame), so stitching the chunks back
     # in frame order erases the worker count from the result
@@ -373,10 +358,10 @@ def run_campaign(config, workers=1):
     """Run every sweep point; a failed point yields an error record and the
     campaign moves on, whatever the exception type."""
     records = []
-    for point_idx, (value, overrides) in enumerate(_sweep_points(config)):
+    for point_idx, (value, point) in enumerate(_sweep_points(config)):
         start = time.perf_counter()
         try:
-            hits, gains = _run_point(config, overrides, point_idx, workers)
+            hits, gains = _run_point(point, point_idx, workers)
         except Exception as exc:  # one point's failure must not lose the rest
             message = f"{type(exc).__name__}: {exc}"
             records.append(_error_record(value, message,

@@ -100,24 +100,24 @@ def _top_two(values):
     return float(two[1]), float(two[0])
 
 
-def estimate_power(meas, alloc):
+def estimate_power(meas):
     """Pick the allocated pair with the largest accumulated power; exact ties
     go to the lowest flat pair index."""
     powers = (np.abs(meas.xi) ** 2).tolist()
     top = max(powers)
-    z = min(p for p, v in zip(alloc.pairs, powers) if v == top)
+    z = min(p for p, v in zip(meas.pairs, powers) if v == top)
     k, i = pair_split(z, meas.x_rx)
     second = sorted(powers)[-2] if len(powers) > 1 else 0.0
     return Estimate(aoa_index=k, aod_index=i, top_two_powers=(top, second))
 
 
-def estimate_omp(meas, tables, config):
-    """Correlate the raw symbols against every grid column and take the
-    argmax (ties to the lowest flat index). Each symbol's row is its pair's
-    row of pair_rows."""
-    rows = np.repeat(pair_rows(meas.pairs, tables), meas.counts, axis=0)
-    scores = np.abs(rows.conj().T @ meas.per_symbol) ** 2
-    k, i = pair_split(int(np.argmax(scores)) + 1, config.x_rx)
+def estimate_omp(meas, tables):
+    """Correlate the received symbols against every grid column and take the
+    argmax (ties to the lowest flat index). Every symbol of a pair shares
+    that pair's row of pair_rows, so the per-pair readouts xi carry the whole
+    correlation: sum_s conj(C[pair_s, n]) y_s = sum_m conj(C[m, n]) xi_m."""
+    scores = np.abs(meas.xi.conj() @ pair_rows(meas.pairs, tables)) ** 2
+    k, i = pair_split(int(np.argmax(scores)) + 1, meas.x_rx)
     return Estimate(aoa_index=k, aod_index=i, top_two_powers=_top_two(scores))
 
 
@@ -221,10 +221,7 @@ def run_frame(scenario, seed_seq):
         strat = guarded_strategy(prev_stats, omega, strategy, budget.noise_var)
         alloc = _allocation_for(scenario, k_est, i_est, strat)
         meas = synthesize_measurements(alloc, state, tables, budget, rng_noise)
-        if by_power:
-            est = estimate_power(meas, alloc)
-        else:
-            est = estimate_omp(meas, tables, cb)
+        est = estimate_power(meas) if by_power else estimate_omp(meas, tables)
         k_est, i_est = est.aoa_index, est.aod_index
         k, i = state.aoa_index, state.aod_index
         hits.append(k_est == k and i_est == i)

@@ -78,7 +78,7 @@ def test_criterion_1_closed_form_fidelity():
             state = ChannelState(aoa_index=position, aod_index=1,
                                  gain=draw_gain(1.0, rng), gain_variance=1.0)
             meas = synthesize_measurements(alloc, state, tables, budget, rng)
-            est = estimate_power(meas, alloc)
+            est = estimate_power(meas)
             hits += (est.aoa_index, est.aod_index) == (position, 1)
         diff = abs(hits / n_trials - gamma_closed_form(position, alloc, budget))
         worst = max(worst, diff)

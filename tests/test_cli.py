@@ -63,6 +63,9 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"codebook": {"n_tx": 4, "rows": 2}}))
     with pytest.raises(ConfigError, match="rows"):
         load_config(path)
+    path.write_text(json.dumps({"m_t": 100}))
+    with pytest.raises(ConfigError, match="m_t"):
+        load_config(path)
 
 
 def test_config_rejects_out_of_range_fields(tmp_path):
@@ -88,6 +91,23 @@ def test_config_rejects_out_of_range_fields(tmp_path):
         load_config(write_config(tmp_path, sweep="beta"))
     with pytest.raises(ConfigError, match="sweep_values"):
         load_config(write_config(tmp_path, sweep="snr", sweep_values=[1]))
+    # counts must be integers: no truncation of fractions, booleans or strings
+    for field, value in (("m_b", 12.7), ("n_frames", 2.5), ("t_blocks", 3.9),
+                         ("seed", 1.9), ("m_b", True), ("n_frames", "40"),
+                         ("t_blocks", "3"), ("seed", "7")):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            load_config(write_config(tmp_path, **{field: value}))
+    # lists must be lists: a string is not split into its characters
+    with pytest.raises(ConfigError, match="snr_db must be a list"):
+        load_config(write_config(tmp_path, snr_db="12"))
+    with pytest.raises(ConfigError, match="betas must be a list"):
+        load_config(write_config(tmp_path, betas="01"))
+    with pytest.raises(ConfigError, match="sweep_values must be a list"):
+        load_config(write_config(tmp_path, sweep="m_b", sweep_values="12"))
+    with pytest.raises(ConfigError, match="snr_db entry must be a number"):
+        load_config(write_config(tmp_path, snr_db=["12"]))
+    # an integral float is still a count
+    assert load_config(write_config(tmp_path, n_frames=1e3)).n_frames == 1000
 
 
 def test_config_rejects_malformed_files(tmp_path):
@@ -186,10 +206,10 @@ def test_infeasible_point_yields_error_record_and_continues(tmp_path):
 def test_any_exception_in_a_point_yields_error_record(tmp_path, monkeypatch):
     real_run_point = cli._run_point
 
-    def flaky(config, overrides, point_idx, workers):
+    def flaky(point, point_idx, workers):
         if point_idx == 0:
             raise ConvergenceError("quadrature stalled", partial=0.5)
-        return real_run_point(config, overrides, point_idx, workers)
+        return real_run_point(point, point_idx, workers)
 
     monkeypatch.setattr(cli, "_run_point", flaky)
     cfg = write_config(tmp_path, snr_db=[0.0, 5.0], n_frames=10)
@@ -202,13 +222,65 @@ def test_any_exception_in_a_point_yields_error_record(tmp_path, monkeypatch):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
 
 
-def test_campaign_is_deterministic_across_worker_counts(tmp_path):
-    config = load_config(write_config(tmp_path, snr_db=[-2.0], n_frames=30))
+SWEEPS = {
+    "snr": {"snr_db": [-2.0, 3.0]},
+    "beta": {"sweep": "beta", "sweep_values": [0.1, 0.6], "snr_db": [-2.0]},
+    "m_b": {"sweep": "m_b", "sweep_values": [3, 6], "snr_db": [-2.0]},
+    "block_index": {"sweep": "block_index", "snr_db": [-2.0]},
+}
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_campaign_is_deterministic_across_worker_counts(tmp_path, sweep):
+    config = load_config(write_config(tmp_path, n_frames=30, **SWEEPS[sweep]))
     serial = run_campaign(config, workers=1)
     parallel = run_campaign(config, workers=3)
-    assert serial[0].atep == parallel[0].atep
-    assert serial[0].per_block_atep == parallel[0].per_block_atep
-    assert serial[0].avg_beamforming_gain == parallel[0].avg_beamforming_gain
+    assert len(serial) == len(parallel) > 0
+    for a, b in zip(serial, parallel):
+        assert a.error is None and b.error is None
+        assert a.sweep_value == b.sweep_value
+        assert a.atep == b.atep
+        assert a.atep_ci95 == b.atep_ci95
+        assert a.per_block_atep == b.per_block_atep
+        assert a.avg_beamforming_gain == b.avg_beamforming_gain
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_pool_never_outnumbers_the_usable_cpus(tmp_path, monkeypatch, affinity):
+    sizes, task_counts = [], []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            task_counts.append(len(tasks))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    if affinity:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+    else:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    config = load_config(write_config(tmp_path, n_frames=24))
+    eight = run_campaign(config, workers=8)
+    assert sizes == [2]
+    assert task_counts == [8]  # still eight chunks to stitch
+    one = run_campaign(config, workers=1)
+    assert [r.per_block_atep for r in eight] == [r.per_block_atep for r in one]
+    assert [r.avg_beamforming_gain for r in eight] == [
+        r.avg_beamforming_gain for r in one]
 
 
 def test_omp_estimator_campaign_runs(tmp_path):

@@ -171,9 +171,12 @@ def test_omp_rows_from_pairs_give_the_sensing_matrix_scores(config):
         scores = np.abs(sensing_rows.conj().T @ meas.per_symbol) ** 2
         best = int(np.argmax(scores))
         two = np.partition(scores, len(scores) - 2)[-2:]
-        est = estimate_omp(meas, tables, config)
+        est = estimate_omp(meas, tables)
+        # the readout sums group the symbols differently: same pick, scores
+        # equal to rounding
         assert pair_index(est.aoa_index, est.aod_index, config.x_rx) == best + 1
-        assert est.top_two_powers == (float(two[1]), float(two[0]))
+        assert est.top_two_powers == pytest.approx(
+            (float(two[1]), float(two[0])), rel=1e-12, abs=0.0)
 
 
 # ----------------------------------------------------------------- estimators
@@ -183,7 +186,7 @@ def test_power_estimator_finds_truth_without_noise():
     rng = np.random.default_rng(3)
     state = ChannelState(aoa_index=4, aod_index=1, gain=1.2 + 0j, gain_variance=1.0)
     meas = synthesize_measurements(alloc, state, tables, budget, rng)
-    est = estimate_power(meas, alloc)
+    est = estimate_power(meas)
     assert (est.aoa_index, est.aod_index) == (4, 1)
     assert est.top_two_powers[0] >= est.top_two_powers[1]
 
@@ -193,7 +196,7 @@ def test_power_estimator_stays_inside_allocation():
     alloc = Allocation(pairs=(1, 2, 3), counts=(2, 2, 2), budget=6)
     state = ChannelState(aoa_index=5, aod_index=1, gain=1.0 + 0j, gain_variance=1.0)
     meas = synthesize_measurements(alloc, state, tables, budget, np.random.default_rng(9))
-    est = estimate_power(meas, alloc)
+    est = estimate_power(meas)
     assert pair_index(est.aoa_index, est.aod_index, 6) in alloc.pairs
 
 
@@ -202,7 +205,7 @@ def test_power_estimator_breaks_ties_toward_lowest_pair():
     meas = MeasurementSet(xi=np.array([2.0 + 0j, 2.0 + 0j]),
                           per_symbol=np.zeros(2, complex),
                           pairs=alloc.pairs, counts=alloc.counts, x_rx=4)
-    est = estimate_power(meas, alloc)
+    est = estimate_power(meas)
     assert pair_index(est.aoa_index, est.aod_index, 4) == 2
 
 
@@ -220,7 +223,7 @@ def test_power_success_rate_matches_closed_form():
             state = ChannelState(aoa_index=position, aod_index=1,
                                  gain=draw_gain(1.0, rng), gain_variance=1.0)
             meas = synthesize_measurements(alloc, state, tables, budget, rng)
-            est = estimate_power(meas, alloc)
+            est = estimate_power(meas)
             hits += (est.aoa_index, est.aod_index) == (position, 1)
         rate = hits / n_trials
         exact = gamma_closed_form(position, alloc, budget)
@@ -235,8 +238,8 @@ def test_omp_matches_power_on_orthogonal_grids():
         state = ChannelState(aoa_index=truth, aod_index=1,
                              gain=draw_gain(1.0, rng), gain_variance=1.0)
         meas = synthesize_measurements(alloc, state, tables, budget, rng)
-        via_power = estimate_power(meas, alloc)
-        via_omp = estimate_omp(meas, tables, config)
+        via_power = estimate_power(meas)
+        via_omp = estimate_omp(meas, tables)
         assert (via_power.aoa_index, via_power.aod_index) == \
                (via_omp.aoa_index, via_omp.aod_index)
 
@@ -265,7 +268,7 @@ def test_omp_noise_free_decisions_match_correlation_argmax():
         state = ChannelState(aoa_index=k, aod_index=i, gain=1.0 + 0j, gain_variance=1.0)
         meas = synthesize_measurements(alloc, state, tables, budget,
                                        np.random.default_rng(truth_flat))
-        est = estimate_omp(meas, tables, config)
+        est = estimate_omp(meas, tables)
         got = pair_index(est.aoa_index, est.aod_index, 4)
         scores = np.abs((lam * rows[:, truth_flat - 1]) @ rows.conj()) ** 2
         # some truths sit symmetrically between two grid columns, leaving an
@@ -283,7 +286,7 @@ def test_omp_estimator_agrees_with_batched_simulation():
         state = ChannelState(aoa_index=k, aod_index=i,
                              gain=draw_gain(1.0, rng), gain_variance=1.0)
         meas = synthesize_measurements(alloc, state, tables, budget, rng)
-        est = estimate_omp(meas, tables, config)
+        est = estimate_omp(meas, tables)
         # deciding from the aggregated readouts is the batched helper's shortcut
         batched_pick = int(np.argmax(np.abs(meas.xi @ rows.conj()) ** 2)) + 1
         assert pair_index(est.aoa_index, est.aod_index, 4) == batched_pick
