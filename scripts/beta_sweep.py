@@ -5,10 +5,11 @@ exploit, and the gap to the uniform split should close.
 """
 
 import argparse
+import sys
 
 from beamtrack.allocate import StrategyConfig
 from beamtrack.channel import CodebookConfig
-from beamtrack.cli import ExperimentConfig, run_campaign
+from beamtrack.cli import ExperimentConfig, report_failures, run_campaign
 
 BETAS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
@@ -22,6 +23,7 @@ def main():
     args = ap.parse_args()
 
     curves = {}
+    failed = 0
     for kind in ("uniform", "kkt"):
         config = ExperimentConfig(
             codebook=CodebookConfig(n_tx=4, n_rx=4, x_tx=4, x_rx=4),
@@ -36,7 +38,9 @@ def main():
             sweep="beta",
             sweep_values=BETAS,
         )
-        curves[kind] = [rec.atep for rec in run_campaign(config)]
+        records = run_campaign(config)
+        failed += report_failures(records, f"{kind} ")
+        curves[kind] = [rec.atep for rec in records]
         print(f"{kind}: done")
 
     print()
@@ -53,7 +57,9 @@ def main():
             for row in rows:
                 fh.write(",".join(str(v) for v in row) + "\n")
         print(f"\nwrote {args.out}")
+    # like beamtrack run: a failed point is a nonzero exit, not just a nan
+    return 3 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

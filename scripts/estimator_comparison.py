@@ -7,10 +7,11 @@ only pick among the probed pairs.
 """
 
 import argparse
+import sys
 
 from beamtrack.allocate import StrategyConfig
 from beamtrack.channel import CodebookConfig
-from beamtrack.cli import ExperimentConfig, run_campaign
+from beamtrack.cli import ExperimentConfig, report_failures, run_campaign
 
 SNR_DB = tuple(range(-20, -6, 2))
 
@@ -23,6 +24,7 @@ def main():
     args = ap.parse_args()
 
     curves = {}
+    failed = 0
     for est in ("power", "omp"):
         config = ExperimentConfig(
             codebook=CodebookConfig(n_tx=3, n_rx=3, x_tx=4, x_rx=4),
@@ -37,6 +39,7 @@ def main():
             sweep="snr",
         )
         records = run_campaign(config)
+        failed += report_failures(records, f"{est} ")
         curves[est] = [(rec.atep, rec.avg_beamforming_gain) for rec in records]
         print(f"{est}: done")
 
@@ -55,7 +58,9 @@ def main():
             for row in rows:
                 fh.write(",".join(str(v) for v in row) + "\n")
         print(f"\nwrote {args.out}")
+    # like beamtrack run: a failed point is a nonzero exit, not just a nan
+    return 3 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -6,10 +6,11 @@ are differences in allocation policy, not Monte Carlo luck.
 """
 
 import argparse
+import sys
 
 from beamtrack.allocate import StrategyConfig
 from beamtrack.channel import CodebookConfig
-from beamtrack.cli import ExperimentConfig, run_campaign
+from beamtrack.cli import ExperimentConfig, report_failures, run_campaign
 
 STRATEGIES = ("uniform", "proportional", "kkt", "branch_and_bound")
 SNR_DB = tuple(range(-20, -6, 2))
@@ -23,6 +24,7 @@ def main():
     args = ap.parse_args()
 
     curves = {}
+    failed = 0
     for kind in STRATEGIES:
         config = ExperimentConfig(
             codebook=CodebookConfig(n_tx=4, n_rx=4, x_tx=4, x_rx=4),
@@ -36,7 +38,9 @@ def main():
             seed=args.seed,
             sweep="snr",
         )
-        curves[kind] = [rec.atep for rec in run_campaign(config)]
+        records = run_campaign(config)
+        failed += report_failures(records, f"{kind} ")
+        curves[kind] = [rec.atep for rec in records]
         print(f"{kind}: done")
 
     header = "snr_db " + " ".join(f"{k:>16}" for k in STRATEGIES)
@@ -54,7 +58,9 @@ def main():
             for row in rows:
                 fh.write(",".join(str(v) for v in row) + "\n")
         print(f"\nwrote {args.out}")
+    # like beamtrack run: a failed point is a nonzero exit, not just a nan
+    return 3 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

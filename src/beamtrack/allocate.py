@@ -105,9 +105,12 @@ def round_repair(real_counts, m_b):
 
     Nearest-integer rounding (halves away from zero); a surplus of K is
     removed from the K entries that rounded up the most, a shortfall added to
-    those that rounded down the most. Ties go to the later entry, and an
-    entry is never pushed below 1; a blocked decrement shifts to the next
-    entry in that order, cycling as needed.
+    those that rounded down the most, ties to the later entry. One unit moves
+    on each of those K entries, and none drops below 1: with the sum within
+    1e-6 of the budget and every entry at least 1 - 1e-9, each entry rounds
+    by at most 1/2, so K is at most half the number of entries that rounded
+    the way being undone. The K that rounded up the most thus each rounded up
+    by more than 1e-9, which leaves them at least 2.
     """
     real = np.asarray(real_counts, float)
     if abs(float(real.sum()) - m_b) > 1e-6:
@@ -115,25 +118,11 @@ def round_repair(real_counts, m_b):
     if np.any(real < 1.0 - 1e-9):
         raise ValueError("fractional counts must be >= 1")
     counts = np.floor(real + 0.5).astype(int)
-    counts = np.maximum(counts, 1)
-    n = len(counts)
     surplus = int(counts.sum()) - m_b
-    if surplus > 0:
-        order = np.lexsort((-np.arange(n), -(counts - real)))
-        i = 0
-        while surplus > 0:
-            j = order[i % n]
-            if counts[j] > 1:
-                counts[j] -= 1
-                surplus -= 1
-            i += 1
-    elif surplus < 0:
-        order = np.lexsort((-np.arange(n), -(real - counts)))
-        i = 0
-        while surplus < 0:
-            counts[order[i % n]] += 1
-            surplus += 1
-            i += 1
+    if surplus:
+        excess = counts - real if surplus > 0 else real - counts
+        order = np.lexsort((-np.arange(len(counts)), -excess))
+        counts[order[:abs(surplus)]] -= np.sign(surplus)
     return counts
 
 
@@ -149,11 +138,11 @@ def _scan_pair_counts(ranked, m_b, r0, cap, diag, solve):
 
     Scans N downward from the cap, skipping the tail once the cumulative prior
     mass of the top N pairs (an upper bound on any N-pair objective) falls to
-    the incumbent. solve(w) returns integer counts for the pairs weighted w.
+    the incumbent. solve(w, m_b, r0) returns integer counts for the pairs
+    weighted w.
     """
     if m_b < 1:
         raise ValueError(f"budget must be >= 1, got {m_b}")
-    diag.setdefault("visited_n", [])
     diag.setdefault("skipped_n", [])
     n0 = min(m_b, ranked.size, cap if cap is not None else m_b)
     w_all = ranked.weights
@@ -164,9 +153,8 @@ def _scan_pair_counts(ranked, m_b, r0, cap, diag, solve):
         if cum[n - 1] <= best_val:
             diag["skipped_n"] = list(range(n, 0, -1))
             break
-        diag["visited_n"].append(n)
         w = np.asarray(w_all[:n], float)
-        counts = np.sort(solve(w))[::-1]
+        counts = np.sort(solve(w, m_b, r0))[::-1]
         val = approx_astp(counts, w, m_b, r0)
         if val > best_val:
             best_val, best = val, tuple(int(c) for c in counts)
@@ -206,16 +194,10 @@ def allocate_bb(ranked, m_b, budget, cap=None, diagnostics=None):
     Each pair count N is solved exactly by marginal greedy: for fixed N the
     surrogate is a sum of per-pair concave terms under one budget constraint,
     where handing out units one at a time by largest marginal gain is
-    optimal. diagnostics["nodes"] counts the units handed out that way.
+    optimal. diagnostics["skipped_n"] lists the pair counts the scan skipped.
     """
     diag = diagnostics if diagnostics is not None else {}
-    diag.setdefault("nodes", 0)
-
-    def solve(w):
-        diag["nodes"] += m_b - len(w)
-        return _greedy_counts(w, m_b, budget.r0)
-
-    return _scan_pair_counts(ranked, m_b, budget.r0, cap, diag, solve)
+    return _scan_pair_counts(ranked, m_b, budget.r0, cap, diag, _greedy_counts)
 
 
 # ------------------------------------------------------- stationarity solve
@@ -243,12 +225,11 @@ def _kkt_real_counts(w, m_b, r0):
     once the bracket's geometric midpoint rounds to one of its ends: from
     there on further steps leave the bracket fixed or collapse it onto that
     midpoint, which is then the multiplier. Each root is then polished by a
-    few Newton steps on its cubic. Returns None when no multiplier can reach
-    the budget.
+    few Newton steps on its cubic. Raises ArithmeticError when no multiplier
+    reaches the budget.
     """
-    n = len(w)
     if not np.any(w > 0):
-        return None
+        raise ArithmeticError("KKT solve: no pair has positive weight")
 
     def total(mu0):
         return float(np.maximum(1.0, _stationary_roots(mu0, w, m_b, r0)).sum())
@@ -259,13 +240,17 @@ def _kkt_real_counts(w, m_b, r0):
             break
         mu_lo *= 0.5
     else:
-        return None
+        raise ArithmeticError(
+            f"KKT solve: no multiplier down to {mu_lo:.3g} lifts the counts "
+            f"to the budget {m_b}")
     for _ in range(200):
         if total(mu_hi) <= m_b:
             break
         mu_hi *= 2.0
     else:
-        return None
+        raise ArithmeticError(
+            f"KKT solve: no multiplier up to {mu_hi:.3g} brings the counts "
+            f"down to the budget {m_b}")
     for _ in range(200):
         mid = math.sqrt(mu_lo * mu_hi)
         if mid == mu_lo or mid == mu_hi:
@@ -284,7 +269,9 @@ def _kkt_real_counts(w, m_b, r0):
     roots[pos] = b
     real = np.maximum(1.0, roots)
     if abs(float(real.sum()) - m_b) > 1e-6:
-        return None
+        raise ArithmeticError(
+            f"KKT solve: polished counts sum to {float(real.sum())!r}, "
+            f"not the budget {m_b}")
     return real, mu0, roots
 
 
@@ -292,38 +279,34 @@ def allocate_kkt(ranked, m_b, budget, cap=None, diagnostics=None):
     """Same outer pair-count scan as allocate_bb, but each N is solved in
     closed form from the stationarity cubics and repaired to integers.
 
-    A failed multiplier search falls back to an even split for that N and is
-    flagged in diagnostics; solved roots are recorded there too so their
-    residuals can be audited.
+    Solved roots are recorded in diagnostics["stationarity"] so their
+    residuals can be audited. A failed multiplier search raises
+    ArithmeticError.
     """
     diag = diagnostics if diagnostics is not None else {}
-    diag.setdefault("fallback_n", [])
     diag.setdefault("stationarity", [])
-    r0 = budget.r0
 
-    def solve(w):
+    def solve(w, m_b, r0):
         n = len(w)
         if n == m_b:
             return np.ones(n, int)
-        sol = _kkt_real_counts(w, m_b, r0)
-        if sol is None:
-            diag["fallback_n"].append(n)
-            return np.asarray(_even_split(m_b, n), int)
-        real, mu0, roots = sol
+        real, mu0, roots = _kkt_real_counts(w, m_b, r0)
         diag["stationarity"].append(
             {"n_pairs": n, "mu0": mu0, "roots": roots, "weights": w})
         return round_repair(real, m_b)
 
-    return _scan_pair_counts(ranked, m_b, r0, cap, diag, solve)
+    return _scan_pair_counts(ranked, m_b, budget.r0, cap, diag, solve)
 
 
 # ----------------------------------------------------------- brute force
 
 EXHAUSTIVE_OBJECTIVES = ("closed_form", "approx", "omp_lower_bound")
+# largest number of allocations allocate_exhaustive will enumerate
+EXHAUSTIVE_LIMIT = 10_000_000
 
 
 def allocate_exhaustive(ranked, m_b, budget, objective="closed_form", cap=None,
-                        limit=10_000_000, prior=None, tables=None):
+                        prior=None, tables=None):
     """Enumerate every multiset of the top-cap pairs and keep the objective
     maximizer; exact value ties go to the lexicographically smallest count
     vector."""
@@ -333,10 +316,10 @@ def allocate_exhaustive(ranked, m_b, budget, objective="closed_form", cap=None,
         raise ValueError(f"unknown objective {objective!r}, expected one of {EXHAUSTIVE_OBJECTIVES}")
     cap = min(cap if cap is not None else m_b, ranked.size, m_b)
     total = math.comb(m_b + cap - 1, cap - 1)
-    if total > limit:
+    if total > EXHAUSTIVE_LIMIT:
         raise ValueError(
             f"exhaustive search over {total} allocations exceeds the limit of "
-            f"{limit}; reduce the budget or the candidate cap")
+            f"{EXHAUSTIVE_LIMIT}; reduce the budget or the candidate cap")
     if objective == "omp_lower_bound" and (prior is None or tables is None):
         raise ValueError("omp_lower_bound objective needs prior and tables")
     w = ranked.weights[:cap]
@@ -369,9 +352,8 @@ def guarded_strategy(prev_powers, omega, inner, noise_var):
     """
     if prev_powers is None:
         return inner
-    ps = sorted(prev_powers, reverse=True)
-    second = ps[1] if len(ps) > 1 else 0.0
-    if ps[0] - second < omega * noise_var:
+    top, second = prev_powers  # an estimate's top_two_powers, descending
+    if top - second < omega * noise_var:
         return StrategyConfig(kind="uniform", omega=inner.omega,
                               candidate_cap=inner.candidate_cap)
     return inner

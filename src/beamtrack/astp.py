@@ -11,7 +11,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .channel import pair_rows, pair_split
+from .channel import pair_rows, truth_column
 from .specfun import (
     QuadratureSpec,
     bessel_i0_scaled,
@@ -189,16 +189,6 @@ def astp_bounds(alloc, prior, budget):
 
 # ------------------------------------------------------------- general case
 
-def _pair_correlations(pairs, truth, tables):
-    # complex correlation of each allocated pair's beams with the true direction
-    k1, i1 = truth
-    out = np.empty(len(pairs), complex)
-    for j, z in enumerate(pairs):
-        a, c = pair_split(z, tables.x_rx)
-        out[j] = tables.nu_rx[a - 1, k1 - 1] * tables.nu_tx[c - 1, i1 - 1]
-    return out
-
-
 def gamma_general_numeric(n, alloc, truth, tables, budget, spec=None):
     """Success probability for the n-th allocated pair with overlapped codebooks.
 
@@ -218,7 +208,7 @@ def gamma_general_numeric(n, alloc, truth, tables, budget, spec=None):
     spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=300)
 
     lam = np.asarray(alloc.counts, float)
-    mu = _pair_correlations(alloc.pairs, truth, tables)
+    mu = truth_column(alloc.pairs, k1, i1, tables)
     own = n - 1
     others = np.delete(np.arange(n_pairs), own)
     s0 = budget.noise_var

@@ -166,6 +166,16 @@ def pair_rows(pairs, tables):
     return rows.reshape(len(z), tables.x_rx * tables.x_tx)
 
 
+def truth_column(pairs, aoa_index, aod_index, tables):
+    """Correlation of each probe pair's beams with the one grid direction
+    (aoa_index, aod_index): nu_tx[c-1, i-1] * nu_rx[a-1, k-1] for pair
+    (a, c), that direction's column of pair_rows. One vectorized product, as
+    in pair_rows: numpy's scalar complex product can round the last bit
+    differently."""
+    c, a = np.divmod(np.asarray(pairs) - 1, tables.x_rx)
+    return tables.nu_tx[c, aod_index - 1] * tables.nu_rx[a, aoa_index - 1]
+
+
 def correlation_tables(config):
     """Beam cross-correlations for both ends; identity when n = x (DFT orthogonality)."""
     a_rx = config.codebook_rx()

@@ -234,10 +234,12 @@ def load_config(path, preset=None):
             raise ConfigError(
                 f"preset must be one of {tuple(_PRESETS)}, got {preset!r}")
     _require_keys(raw, _DEFAULTS, "config")
-    if isinstance(raw.get("codebook"), dict):
-        _require_keys(raw["codebook"], _DEFAULTS["codebook"], "codebook")
-    if isinstance(raw.get("strategy"), dict):
-        _require_keys(raw["strategy"], _DEFAULTS["strategy"], "strategy")
+    for section in ("codebook", "strategy"):
+        if section in raw:
+            if not isinstance(raw[section], dict):
+                raise ConfigError(
+                    f"{section} must be an object, got {raw[section]!r}")
+            _require_keys(raw[section], _DEFAULTS[section], section)
 
     resolved = _DEFAULTS
     if preset is not None:
@@ -245,8 +247,16 @@ def load_config(path, preset=None):
     resolved = _merge_overlay(resolved, raw)
 
     try:
-        codebook = CodebookConfig(**resolved["codebook"])
-        strategy = StrategyConfig(**resolved["strategy"])
+        codebook = CodebookConfig(**{
+            key: _integer(f"codebook.{key}", val)
+            for key, val in resolved["codebook"].items()})
+        strat = resolved["strategy"]
+        cap = strat["candidate_cap"]
+        strategy = StrategyConfig(
+            kind=strat["kind"],
+            omega=_number("strategy.omega", strat["omega"]),
+            candidate_cap=None if cap is None
+            else _integer("strategy.candidate_cap", cap))
         sweep_values = resolved["sweep_values"]
         return ExperimentConfig(
             codebook=codebook,
@@ -445,6 +455,14 @@ def emit_results(records, fmt, path, config):
         fh.write(text)
 
 
+def report_failures(records, label=""):
+    """Print each failed point's error on stderr; returns how many failed."""
+    failures = [rec for rec in records if rec.error is not None]
+    for rec in failures:
+        print(f"{label}point {rec.sweep_value}: {rec.error}", file=sys.stderr)
+    return len(failures)
+
+
 def _estimate_runtime(config):
     points = 1 if config.sweep == "block_index" else (
         len(config.snr_db) if config.sweep == "snr" else len(config.sweep_values))
@@ -501,10 +519,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"cannot write results: {exc}", file=sys.stderr)
         return 2
-    failures = [rec for rec in records if rec.error is not None]
-    for rec in failures:
-        print(f"point {rec.sweep_value}: {rec.error}", file=sys.stderr)
-    return 3 if failures else 0
+    return 3 if report_failures(records) else 0
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from .channel import (
     pair_rows,
     pair_split,
     step_channel,
+    truth_column,
 )
 
 ESTIMATORS = ("power", "omp")
@@ -68,12 +69,8 @@ def synthesize_measurements(alloc, state, tables, budget, rng):
     parts). The per-pair readout xi accumulates each pair's symbols left to
     right so reruns are bitwise reproducible.
     """
-    c, a = np.divmod(np.asarray(alloc.pairs) - 1, tables.x_rx)
-    # one vectorized product, like pair_rows: numpy's scalar complex product
-    # can round the last bit differently
-    truth_col = (tables.nu_tx[c, state.aod_index - 1]
-                 * tables.nu_rx[a, state.aoa_index - 1])
-    mean = budget.gamma * state.gain * truth_col
+    mean = budget.gamma * state.gain * truth_column(
+        alloc.pairs, state.aoa_index, state.aod_index, tables)
     m_total = alloc.budget
     draws = rng.standard_normal(2 * m_total)
     noise = np.sqrt(budget.noise_var / 2.0) * (

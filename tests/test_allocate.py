@@ -190,6 +190,77 @@ def test_round_repair_keeps_integers_untouched():
     assert round_repair([4.0, 3.0, 1.0], 8).tolist() == [4, 3, 1]
 
 
+def cycling_round_repair(real_counts, m_b):
+    # the earlier repair: unit moves cycle through the same order and skip an
+    # entry that would fall below 1
+    real = np.asarray(real_counts, float)
+    counts = np.maximum(np.floor(real + 0.5).astype(int), 1)
+    n = len(counts)
+    surplus = int(counts.sum()) - m_b
+    if surplus > 0:
+        order = np.lexsort((-np.arange(n), -(counts - real)))
+        i = 0
+        while surplus > 0:
+            j = order[i % n]
+            if counts[j] > 1:
+                counts[j] -= 1
+                surplus -= 1
+            i += 1
+    elif surplus < 0:
+        order = np.lexsort((-np.arange(n), -(real - counts)))
+        i = 0
+        while surplus < 0:
+            counts[order[i % n]] += 1
+            surplus += 1
+            i += 1
+    return counts
+
+
+def repair_corpus(rng, size):
+    # spread fractions, heavy tails, point masses, exact halves and entries a
+    # hair below 1, each rescaled to sum to the budget
+    for case in range(size):
+        n = int(rng.integers(1, 60))
+        m_b = n + int(rng.integers(0, 200))
+        family = case % 5
+        if family == 0:
+            raw = rng.uniform(1e-3, 1.0, size=n)
+        elif family == 1:
+            raw = rng.pareto(0.7, size=n) + 1e-12
+        elif family == 2:
+            raw = np.full(n, 1e-12)
+            raw[rng.integers(0, n)] = 1.0
+        if family <= 2:
+            real = 1.0 + (m_b - n) * raw / raw.sum()
+        elif family == 3:
+            # integers plus paired +-1/2 offsets: every entry is a rounding tie
+            real = 1.0 + rng.multinomial(m_b - n, np.full(n, 1.0 / n)).astype(float)
+            k = int(rng.integers(0, n // 2 + 1))
+            idx = rng.permutation(n)[:2 * k]
+            real[idx[:k]] += 0.5
+            real[idx[k:]] -= 0.5
+            if np.any(real < 1.0):
+                continue
+        else:
+            real = 1.0 + (m_b - n) * rng.dirichlet(np.full(n, 0.2))
+            real[rng.random(n) < 0.3] -= 5e-10
+            real[-1] = m_b - real[:-1].sum()
+            if real[-1] < 1.0 - 1e-9:
+                continue
+        yield real, m_b
+
+
+def test_round_repair_matches_the_cycling_repair():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for real, m_b in repair_corpus(rng, 6000):
+        got = round_repair(real, m_b)
+        assert np.array_equal(got, cycling_round_repair(real, m_b)), (real, m_b)
+        assert got.sum() == m_b and np.all(got >= 1)
+        checked += 1
+    assert checked > 5000
+
+
 # ----------------------------------------------------------- branch and bound
 
 def test_surrogate_marginals_are_diminishing():
@@ -399,18 +470,53 @@ def test_kkt_bisection_stop_is_bit_exact_and_short(monkeypatch):
     n_solved = 0
     for w, m_b, r0 in kkt_problems():
         expected = fixed_bisection_kkt(w, m_b, r0)
+        if expected is None:
+            with pytest.raises(ArithmeticError):
+                _kkt_real_counts(w, m_b, r0)
+            continue
         calls.clear()
         got = _kkt_real_counts(w, m_b, r0)
         assert len(calls) <= 100
-        if expected is None:
-            assert got is None
-            continue
         n_solved += 1
         assert got[1] == expected[1]
         assert np.array_equal(got[2], expected[2])
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(round_repair(got[0], m_b), round_repair(expected[0], m_b))
     assert n_solved > 100
+
+
+def test_kkt_raises_when_the_multiplier_search_fails(monkeypatch):
+    w = np.array([0.4, 0.3, 0.2, 0.1])
+    ranked = RankedPairs(order=np.arange(1, 5), weights=w)
+    with pytest.raises(ArithmeticError, match="positive weight"):
+        _kkt_real_counts(np.zeros(3), 6, 10.0)
+    monkeypatch.setattr(allocate_module, "_stationary_roots",
+                        lambda mu0, w, m_b, r0: np.full(len(w), np.nan))
+    with pytest.raises(ArithmeticError, match="KKT solve"):
+        _kkt_real_counts(w, 12, 10.0)
+    # no even split stands in for the failed solve
+    with pytest.raises(ArithmeticError):
+        allocate_kkt(ranked, 12, budget_for(10.0), cap=4)
+
+
+@pytest.mark.parametrize("snr_db, counts", [
+    (-20.0, (12,)), (-16.0, (12,)), (-14.0, (12,)), (-12.0, (8, 4))])
+def test_desk_exact_and_kkt_concentrate_the_budget_at_low_snr(snr_db, counts):
+    # desk grid, betas 0.1, M_B 12: below -12 dB both solvers put the whole
+    # budget on the stay pair from every start state, so with the guard off
+    # the estimate can never move
+    config = CodebookConfig(n_tx=4, n_rx=4, x_tx=4, x_rx=4)
+    model = build_transition_model(beta_rx=0.1, beta_tx=0.1, config=config)
+    budget = LinkBudget(power=10.0 ** (snr_db / 10.0), noise_var=1.0,
+                        gain_var=1.0, n_tx=4, n_rx=4)
+    for k0 in range(1, 5):
+        for i0 in range(1, 5):
+            ranked = rank_pairs(prior_from_transition(model, k0, i0))
+            assert ranked.order[0] == pair_index(k0, i0, 4)
+            for alloc in (allocate_kkt(ranked, 12, budget),
+                          allocate_bb(ranked, 12, budget)):
+                assert alloc.counts == counts
+                assert alloc.pairs == tuple(ranked.order[:len(counts)])
 
 
 def test_kkt_output_is_canonical():
@@ -434,7 +540,7 @@ def test_exhaustive_single_probe_takes_heaviest_pair():
 def test_exhaustive_refuses_oversized_enumerations():
     ranked = rank_pairs(random_prior(np.random.default_rng(4), 40))
     with pytest.raises(ValueError, match="exceeds the limit"):
-        allocate_exhaustive(ranked, 40, budget_for(10.0), cap=40, limit=1000)
+        allocate_exhaustive(ranked, 40, budget_for(10.0), cap=40)
 
 
 def test_exhaustive_closed_form_agrees_with_bb_on_toy_instance():

@@ -18,6 +18,7 @@ from beamtrack.channel import (
     pair_rows,
     pair_split,
     step_channel,
+    truth_column,
 )
 
 
@@ -278,6 +279,17 @@ def test_pair_rows_equal_a_kron_per_pair(config, n_pairs):
     for _ in range(5):
         pairs = tuple(rng.choice(config.x_pairs, size=n_pairs, replace=False) + 1)
         assert np.array_equal(pair_rows(pairs, tables), kron_rows(pairs, tables))
+
+
+def test_truth_column_is_a_column_of_pair_rows():
+    # unequal overlapped grids, so a swapped index or factor would show
+    config = CodebookConfig(n_tx=3, n_rx=5, x_tx=6, x_rx=8)
+    tables = correlation_tables(config)
+    pairs = (9, 10, 17, 2, 44, 48, 1)
+    rows = pair_rows(pairs, tables)
+    for n in range(1, config.x_pairs + 1):
+        k, i = pair_split(n, config.x_rx)
+        assert np.array_equal(truth_column(pairs, k, i, tables), rows[:, n - 1])
 
 
 def test_pair_rows_reject_nonpositive_indices():

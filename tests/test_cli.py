@@ -8,7 +8,7 @@ from beamtrack.allocate import allocate_uniform, rank_pairs
 from beamtrack.astp import LinkBudget, astp_closed_form, prior_from_transition
 from beamtrack.channel import CodebookConfig, build_transition_model
 from beamtrack.specfun import ConvergenceError
-from beamtrack import cli
+from beamtrack import allocate as allocate_module, cli
 from beamtrack.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -108,6 +108,29 @@ def test_config_rejects_out_of_range_fields(tmp_path):
         load_config(write_config(tmp_path, snr_db=["12"]))
     # an integral float is still a count
     assert load_config(write_config(tmp_path, n_frames=1e3)).n_frames == 1000
+    # codebook sizes and the candidate cap are counts too, omega a number
+    sizes = {"n_tx": 4, "n_rx": 4, "x_tx": 4, "x_rx": 4}
+    for field, value in (("n_tx", 4.5), ("x_rx", True), ("n_rx", "4")):
+        with pytest.raises(ConfigError, match=f"codebook.{field} must be an integer"):
+            load_config(write_config(tmp_path, codebook={**sizes, field: value}))
+    for value in (2.5, True):
+        with pytest.raises(ConfigError,
+                           match="strategy.candidate_cap must be an integer"):
+            load_config(write_config(tmp_path, strategy={
+                "kind": "kkt", "candidate_cap": value}))
+    for value in (True, "5"):
+        with pytest.raises(ConfigError, match="strategy.omega must be a number"):
+            load_config(write_config(tmp_path, strategy={
+                "kind": "kkt", "omega": value}))
+    with pytest.raises(ConfigError, match="codebook must be an object"):
+        load_config(write_config(tmp_path, codebook=5))
+    with pytest.raises(ConfigError, match="strategy must be an object"):
+        load_config(write_config(tmp_path, strategy=None))
+    config = load_config(write_config(tmp_path, codebook={**sizes, "n_tx": 4.0},
+                                      strategy={"kind": "kkt", "candidate_cap": 3.0}))
+    assert config.codebook.n_tx == 4 and isinstance(config.codebook.n_tx, int)
+    assert config.strategy.candidate_cap == 3
+    assert isinstance(config.strategy.candidate_cap, int)
 
 
 def test_config_rejects_malformed_files(tmp_path):
@@ -220,6 +243,27 @@ def test_any_exception_in_a_point_yields_error_record(tmp_path, monkeypatch):
     assert records[1].error is None
     assert 0.0 <= records[1].atep <= 1.0
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
+
+
+def test_failed_kkt_solve_fails_its_points(tmp_path, monkeypatch, capsys):
+    # a multiplier search that cannot reach the budget fails the point with
+    # exit 3 instead of handing back an even split
+    monkeypatch.setattr(allocate_module, "_stationary_roots",
+                        lambda mu0, w, m_b, r0: np.full(len(w), np.nan))
+    cfg = write_config(tmp_path, snr_db=[-12.0, -8.0], m_b=12, n_frames=4,
+                       strategy={"kind": "kkt"})
+    records = run_campaign(load_config(cfg))
+    assert [rec.sweep_value for rec in records] == [-12.0, -8.0]
+    for rec in records:
+        assert rec.error.startswith("ArithmeticError: KKT solve")
+        assert math.isnan(rec.atep)
+    out = tmp_path / "x.json"
+    assert main(["run", "--config", str(cfg), "--out", str(out),
+                 "--format", "json"]) == 3
+    assert "ArithmeticError" in capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert all(r["error"].startswith("ArithmeticError") and r["atep"] is None
+               for r in doc["records"])
 
 
 SWEEPS = {
