@@ -455,11 +455,11 @@ def emit_results(records, fmt, path, config):
         fh.write(text)
 
 
-def report_failures(records, label=""):
+def report_failures(records):
     """Print each failed point's error on stderr; returns how many failed."""
     failures = [rec for rec in records if rec.error is not None]
     for rec in failures:
-        print(f"{label}point {rec.sweep_value}: {rec.error}", file=sys.stderr)
+        print(f"point {rec.sweep_value}: {rec.error}", file=sys.stderr)
     return len(failures)
 
 
@@ -506,6 +506,10 @@ def main(argv=None):
                 raise ConfigError(f"BEAMTRACK_SEED: {exc}") from exc
         if args.workers < 1:
             raise ConfigError("--workers must be at least 1")
+        # an unwritable output must fail before the campaign, not after it;
+        # append mode leaves an existing file untouched
+        with open(args.out, "a", encoding="utf-8"):
+            pass
         if args.preset == "paper":
             blocks, seconds = _estimate_runtime(config)
             print(f"paper preset: {blocks} tracked blocks queued, "

@@ -154,6 +154,12 @@ def prepare_scenario(codebook, beta_rx, beta_tx, budget, m_b, t_blocks,
         raise ValueError(f"m_b must be >= 1, got {m_b}")
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATORS}")
+    # uniform probing sends one symbol on each of M_B distinct pairs; when it
+    # is reachable (the strategy itself, or the guard's fallback), reject an
+    # oversized budget here rather than at the first ambiguous readout
+    if m_b > codebook.x_pairs and (strategy.kind == "uniform" or strategy.omega > 0):
+        raise ValueError(f"budget {m_b} exceeds the {codebook.x_pairs} distinct "
+                         f"pairs that uniform probing needs")
     return Scenario(codebook=codebook,
                     tables=correlation_tables(codebook),
                     model=build_transition_model(beta_rx, beta_tx, codebook),

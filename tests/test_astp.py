@@ -23,6 +23,7 @@ from beamtrack.channel import (
     build_transition_model,
     correlation_tables,
     pair_index,
+    pair_rows,
     pair_split,
 )
 
@@ -48,19 +49,8 @@ def mc_power_success_orthogonal(position, counts, budget, n_trials, rng):
     return float(np.mean(np.argmax(np.abs(xi) ** 2, axis=1) == position - 1))
 
 
-def probe_correlations(pairs, tables):
-    # rows: one probe pair, columns: every grid direction
-    rows = np.empty((len(pairs), tables.x_rx * tables.x_tx), complex)
-    for m, z in enumerate(pairs):
-        a, c = pair_split(z, tables.x_rx)
-        for n in range(1, tables.x_rx * tables.x_tx + 1):
-            k, i = pair_split(n, tables.x_rx)
-            rows[m, n - 1] = tables.nu_rx[a - 1, k - 1] * tables.nu_tx[c - 1, i - 1]
-    return rows
-
-
 def mc_power_success_general(position, alloc, truth, tables, budget, n_trials, rng):
-    rows = probe_correlations(alloc.pairs, tables)
+    rows = pair_rows(alloc.pairs, tables)
     n_true = pair_index(truth[0], truth[1], tables.x_rx)
     mu = rows[:, n_true - 1]
     lam = np.asarray(alloc.counts, float)
@@ -75,7 +65,7 @@ def mc_power_success_general(position, alloc, truth, tables, budget, n_trials, r
 def mc_omp_success(alloc, truth_flat, tables, budget, n_trials, rng):
     """Correlate accumulated readouts against every grid column, hit rate of
     the true flat index."""
-    rows = probe_correlations(alloc.pairs, tables)
+    rows = pair_rows(alloc.pairs, tables)
     lam = np.asarray(alloc.counts, float)
     alpha = np.sqrt(budget.gain_var / 2) * (
         rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))

@@ -226,6 +226,27 @@ def test_infeasible_point_yields_error_record_and_continues(tmp_path):
     assert math.isnan(records[1].atep)
 
 
+@pytest.mark.parametrize("kind, omega, fails", [
+    ("kkt", 5.0, True), ("uniform", 0.0, True), ("kkt", 0.0, False)])
+def test_budget_above_the_pair_count_fails_alike_for_every_seed(
+        tmp_path, kind, omega, fails):
+    # 20 symbols cannot go to 20 distinct pairs of a 4x4 grid. Uniform probing
+    # is reachable when it is the strategy or the guard is on, whatever the
+    # readouts, so every seed fails; with the guard off kkt repeats pairs
+    for seed in range(1, 9):
+        cfg = write_config(tmp_path, snr_db=[10.0], m_b=20, t_blocks=10,
+                           n_frames=30, seed=seed,
+                           strategy={"kind": kind, "omega": omega})
+        [rec] = run_campaign(load_config(cfg))
+        if fails:
+            assert rec.error == ("ValueError: budget 20 exceeds the 16 "
+                                 "distinct pairs that uniform probing needs")
+        else:
+            assert rec.error is None
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert code == (3 if fails else 0)
+
+
 def test_any_exception_in_a_point_yields_error_record(tmp_path, monkeypatch):
     real_run_point = cli._run_point
 
@@ -442,11 +463,30 @@ def test_failed_point_is_strict_json_null(tmp_path):
     assert failed["atep_ci95"] is None and failed["avg_gain"] is None
 
 
-def test_main_unwritable_output_is_exit_two(tmp_path):
+def test_main_unwritable_output_is_exit_two(tmp_path, monkeypatch, capsys):
+    def no_campaign(*args, **kwargs):
+        raise AssertionError("a point ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_campaign", no_campaign)
     cfg = write_config(tmp_path)
     code = main(["run", "--config", str(cfg),
                  "--out", str(tmp_path / "no" / "dir" / "x.csv")])
     assert code == 2
+    assert "cannot write results" in capsys.readouterr().err
+
+
+def test_main_checks_the_output_without_truncating_it(tmp_path, monkeypatch):
+    # the early writability check leaves an existing file as it was until the
+    # results replace it
+    out = tmp_path / "old.csv"
+    out.write_text("kept\n")
+
+    def intact_until_written(records, fmt, path, config):
+        assert out.read_text() == "kept\n"
+
+    monkeypatch.setattr(cli, "emit_results", intact_until_written)
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 def test_seed_env_var_overrides_config(tmp_path, monkeypatch, capsys):
