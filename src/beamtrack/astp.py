@@ -106,6 +106,12 @@ def prior_from_transition(model, k0, i0):
 # replaced by quadrature of the equivalent integral form.
 _CLOSED_FORM_MAX_INTERFERERS = 20
 
+# Tolerances of that quadrature and of the overlapped-codebook nested integral.
+_CLOSED_FORM_QUADRATURE = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13,
+                                         max_subdivisions=400)
+_GENERAL_QUADRATURE = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12,
+                                     max_subdivisions=300)
+
 
 def _signal_scale(lam_n, budget):
     # mean of the accumulated own-pair power: lambda^2 gamma^2 sig_a^2 + lambda sig_0^2
@@ -122,11 +128,11 @@ def _gamma_subset_sum(h, other_rates):
     return float(np.sum(signs / (1.0 + h * sums)))
 
 
-def _gamma_quadrature(h, other_rates, spec=None):
+def _gamma_quadrature(h, other_rates):
     def integrand(u):
         return np.exp(-u / h) / h * np.prod(-np.expm1(-u * other_rates))
 
-    return integrate_semi_infinite(integrand, spec or QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13, max_subdivisions=400))
+    return integrate_semi_infinite(integrand, _CLOSED_FORM_QUADRATURE)
 
 
 def gamma_closed_form(n, alloc, budget):
@@ -189,7 +195,7 @@ def astp_bounds(alloc, prior, budget):
 
 # ------------------------------------------------------------- general case
 
-def gamma_general_numeric(n, alloc, truth, tables, budget, spec=None):
+def gamma_general_numeric(n, alloc, truth, tables, budget):
     """Success probability for the n-th allocated pair with overlapped codebooks.
 
     Nested quadrature of the conditional success probability: inner integral
@@ -205,7 +211,6 @@ def gamma_general_numeric(n, alloc, truth, tables, budget, spec=None):
     k1, i1 = truth
     if not (1 <= k1 <= tables.x_rx and 1 <= i1 <= tables.x_tx):
         raise ValueError(f"truth indices out of range: {truth}")
-    spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=300)
 
     lam = np.asarray(alloc.counts, float)
     mu = truth_column(alloc.pairs, k1, i1, tables)
@@ -237,14 +242,14 @@ def gamma_general_numeric(n, alloc, truth, tables, budget, spec=None):
                 prod *= 1.0 - marcum_q1(am, bm * root_u)
             return dens * prod * mean_u
 
-        return integrate_semi_infinite(f, spec)
+        return integrate_semi_infinite(f, _GENERAL_QUADRATURE)
 
     sa2 = budget.gain_var
 
     def outer(s):
         return inner(sa2 * s) * np.exp(-s)
 
-    return float(integrate_semi_infinite(outer, spec))
+    return float(integrate_semi_infinite(outer, _GENERAL_QUADRATURE))
 
 
 class OmpBound(NamedTuple):

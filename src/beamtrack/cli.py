@@ -49,18 +49,6 @@ _DEFAULTS = {
     "sweep_values": None,
 }
 
-# Preset overlays, applied under whatever the config file pins down.  "desk"
-# is small enough for laptops and CI; "paper" is the defaults themselves, the
-# full 64-per-side grid, and announces its runtime before it starts.
-_PRESETS = {
-    "desk": {
-        "codebook": {"n_tx": 4, "n_rx": 4, "x_tx": 4, "x_rx": 4},
-        "m_b": 12,
-    },
-    "paper": {},
-}
-
-
 class ConfigError(Exception):
     """Raised when an experiment config cannot be validated."""
 
@@ -212,8 +200,8 @@ def _numbers(name, value):
     return tuple(_number(f"{name} entry", v) for v in value)
 
 
-def load_config(path, preset=None):
-    """Read a JSON config, overlay it on the preset and global defaults.
+def load_config(path):
+    """Read a JSON config and overlay it on the defaults, the paper grid.
 
     Unknown keys are rejected rather than ignored so a typo cannot silently
     fall back to a default.
@@ -229,10 +217,6 @@ def load_config(path, preset=None):
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-    if preset is not None:
-        if preset not in _PRESETS:
-            raise ConfigError(
-                f"preset must be one of {tuple(_PRESETS)}, got {preset!r}")
     _require_keys(raw, _DEFAULTS, "config")
     for section in ("codebook", "strategy"):
         if section in raw:
@@ -241,10 +225,7 @@ def load_config(path, preset=None):
                     f"{section} must be an object, got {raw[section]!r}")
             _require_keys(raw[section], _DEFAULTS[section], section)
 
-    resolved = _DEFAULTS
-    if preset is not None:
-        resolved = _merge_overlay(resolved, _PRESETS[preset])
-    resolved = _merge_overlay(resolved, raw)
+    resolved = _merge_overlay(_DEFAULTS, raw)
 
     try:
         codebook = CodebookConfig(**{
@@ -463,15 +444,6 @@ def report_failures(records):
     return len(failures)
 
 
-def _estimate_runtime(config):
-    points = 1 if config.sweep == "block_index" else (
-        len(config.snr_db) if config.sweep == "snr" else len(config.sweep_values))
-    blocks = points * config.n_frames * (config.t_blocks - 1)
-    # ballpark per-block cost grows with the grid the estimator correlates over
-    per_block = 2e-5 * max(1.0, config.codebook.x_pairs / 16.0)
-    return blocks, blocks * per_block
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="beamtrack",
@@ -480,41 +452,23 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run a campaign and write metrics")
     run_p.add_argument("--config", default=None,
-                       help="JSON experiment config (optional with --preset)")
+                       help="JSON experiment config (omit it for the paper grid)")
     run_p.add_argument("--out", required=True, help="output file path")
     run_p.add_argument("--format", choices=("csv", "json"), default="csv")
     run_p.add_argument("--workers", type=int, default=1)
-    run_p.add_argument("--preset", choices=tuple(_PRESETS), default=None)
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, preset=args.preset)
-        env_seed = os.environ.get("BEAMTRACK_SEED")
-        if env_seed is not None:
-            try:
-                seed = int(env_seed)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"BEAMTRACK_SEED must be an integer, got {env_seed!r}"
-                ) from exc
-            try:
-                config = replace(config, seed=seed)
-            except ValueError as exc:
-                raise ConfigError(f"BEAMTRACK_SEED: {exc}") from exc
+        config = load_config(args.config)
         if args.workers < 1:
             raise ConfigError("--workers must be at least 1")
         # an unwritable output must fail before the campaign, not after it;
         # append mode leaves an existing file untouched
         with open(args.out, "a", encoding="utf-8"):
             pass
-        if args.preset == "paper":
-            blocks, seconds = _estimate_runtime(config)
-            print(f"paper preset: {blocks} tracked blocks queued, "
-                  f"roughly {seconds / 60.0:.1f} min at desk-calibrated speed",
-                  file=sys.stderr)
         records = run_campaign(config, workers=args.workers)
         emit_results(records, args.format, args.out, config)
     except ConfigError as exc:

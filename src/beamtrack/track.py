@@ -232,25 +232,3 @@ def run_frame(scenario, seed_seq):
         prev_stats = est.top_two_powers
     return FrameOutcome(hits=np.array(hits, bool), gains=np.array(gains, float))
 
-
-def mc_omp_astp(alloc, prior, tables, budget, n_trials, rng, chunk=20_000):
-    """Empirical prior-weighted success rate of the correlation estimator,
-    batched over trials with the per-pair aggregated readouts (equivalent to
-    running the estimator symbol by symbol)."""
-    rows = pair_rows(alloc.pairs, tables)
-    lam = np.asarray(alloc.counts, float)
-    x = rows.shape[1]
-    truths = rng.choice(x, size=n_trials, p=prior.weights)
-    hits = 0
-    scale = np.sqrt(budget.noise_var * lam / 2.0)
-    for lo in range(0, n_trials, chunk):
-        t = truths[lo:lo + chunk]
-        m = len(t)
-        alpha = np.sqrt(budget.gain_var / 2.0) * (
-            rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        agg = scale * (rng.standard_normal((m, len(lam)))
-                       + 1j * rng.standard_normal((m, len(lam))))
-        agg += alpha[:, None] * (lam * budget.gamma * rows[:, t].T)
-        scores = np.abs(agg @ rows.conj()) ** 2
-        hits += int(np.sum(np.argmax(scores, axis=1) == t))
-    return hits / n_trials

@@ -34,7 +34,8 @@ from beamtrack.astp import (
 from beamtrack.channel import ChannelState, CodebookConfig, correlation_tables, draw_gain
 from beamtrack.cli import ExperimentConfig, main, run_campaign
 from beamtrack.specfun import harmonic
-from beamtrack.track import estimate_power, mc_omp_astp, synthesize_measurements
+from beamtrack.track import estimate_power, synthesize_measurements
+from omp_mc import mc_omp_astp
 
 
 def report(num, ok, detail):

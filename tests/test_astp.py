@@ -26,6 +26,7 @@ from beamtrack.channel import (
     pair_rows,
     pair_split,
 )
+from omp_mc import aggregated_readouts, omp_picks
 
 
 def budget_for(r0, n_tx=4, n_rx=4, noise_var=1.0, gain_var=1.0):
@@ -67,13 +68,9 @@ def mc_omp_success(alloc, truth_flat, tables, budget, n_trials, rng):
     the true flat index."""
     rows = pair_rows(alloc.pairs, tables)
     lam = np.asarray(alloc.counts, float)
-    alpha = np.sqrt(budget.gain_var / 2) * (
-        rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
-    scale = np.sqrt(budget.noise_var * lam / 2)
-    y = scale * (rng.standard_normal((n_trials, len(lam))) + 1j * rng.standard_normal((n_trials, len(lam))))
-    y += alpha[:, None] * (lam * budget.gamma * rows[:, truth_flat - 1])
-    scores = np.abs(y @ rows.conj()) ** 2
-    return float(np.mean(np.argmax(scores, axis=1) == truth_flat - 1))
+    truths = np.full(n_trials, truth_flat - 1)
+    agg = aggregated_readouts(rows, lam, budget, truths, rng)
+    return float(np.mean(omp_picks(agg, rows) == truth_flat - 1))
 
 
 # ---------------------------------------------------------------- containers

@@ -26,12 +26,12 @@ from beamtrack.track import (
     _allocation_for,
     estimate_omp,
     estimate_power,
-    mc_omp_astp,
     pair_rows,
     prepare_scenario,
     run_frame,
     synthesize_measurements,
 )
+from omp_mc import aggregated_readouts, mc_omp_astp, omp_picks
 
 
 def orthogonal_setup(n_pairs, counts, power=2.0, noise_var=1.0):
@@ -305,23 +305,16 @@ def test_omp_beats_power_at_low_snr_with_narrow_arrays():
     alloc = allocate_uniform(ranked, 40)
     rows = pair_rows(alloc.pairs, tables)
     lam = np.asarray(alloc.counts, float)
-    pairs_flat = np.asarray(alloc.pairs)
+    pair_cols = np.asarray(alloc.pairs) - 1
     rng = np.random.default_rng(5150)
     n_trials, chunk = 10_000, 1000
-    truths = rng.choice(64 * 64, size=n_trials, p=prior.weights) + 1
+    truths = rng.choice(64 * 64, size=n_trials, p=prior.weights)
     omp_hits = power_hits = 0
-    scale = np.sqrt(budget.noise_var * lam / 2.0)
     for lo in range(0, n_trials, chunk):
         t = truths[lo:lo + chunk]
-        m = len(t)
-        alpha = np.sqrt(budget.gain_var / 2.0) * (
-            rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        agg = scale * (rng.standard_normal((m, len(lam)))
-                       + 1j * rng.standard_normal((m, len(lam))))
-        agg += alpha[:, None] * (lam * budget.gamma * rows[:, t - 1].T)
-        omp_pick = np.argmax(np.abs(agg @ rows.conj()) ** 2, axis=1) + 1
-        power_pick = pairs_flat[np.argmax(np.abs(agg) ** 2, axis=1)]
-        omp_hits += int(np.sum(omp_pick == t))
+        agg = aggregated_readouts(rows, lam, budget, t, rng)
+        power_pick = pair_cols[np.argmax(np.abs(agg) ** 2, axis=1)]
+        omp_hits += int(np.sum(omp_picks(agg, rows) == t))
         power_hits += int(np.sum(power_pick == t))
     assert omp_hits > power_hits
 
