@@ -2,9 +2,8 @@
 
 Strategies split an integer pilot budget across candidate beam pairs ranked
 by prior probability: uniform and proportional baselines, an exact optimizer
-of the tractable surrogate objective (the branch_and_bound strategy), a
-closed-form allocator from the relaxed problem's stationarity conditions,
-and a brute-force enumerator used both as a strategy and as a test oracle.
+of the tractable surrogate objective (the branch_and_bound strategy), and a
+closed-form allocator from the relaxed problem's stationarity conditions.
 
 The exact optimizer solves each number of probed pairs by marginal greedy.
 For a fixed pair count the surrogate is a sum of per-pair terms, each concave
@@ -15,19 +14,15 @@ budget one unit at a time to the largest marginal gain is then optimal.
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .astp import Allocation, approx_astp, gamma_closed_form, omp_astp_lower_bound
-from .specfun import harmonic
+from .astp import Allocation, approx_astp, harmonic
 
-STRATEGY_KINDS = ("uniform", "proportional", "exhaustive", "branch_and_bound",
-                  "kkt", "omp_exhaustive")
-# Strategies that read the prior only through its top min(cap, M_B) ranked
+# Every kind reads the prior only through its top min(cap, M_B) ranked
 # weights (besides M_B and r0), so priors with the same top weights get the
-# same allocation by rank; omp_exhaustive reads the whole prior and grid.
-PROFILE_KINDS = ("uniform", "proportional", "exhaustive", "branch_and_bound", "kkt")
+# same allocation by rank; track's profile cache relies on that.
+STRATEGY_KINDS = ("uniform", "proportional", "branch_and_bound", "kkt")
 
 
 @dataclass(frozen=True)
@@ -298,52 +293,6 @@ def allocate_kkt(ranked, m_b, budget, cap=None, diagnostics=None):
     return _scan_pair_counts(ranked, m_b, budget.r0, cap, diag, solve)
 
 
-# ----------------------------------------------------------- brute force
-
-EXHAUSTIVE_OBJECTIVES = ("closed_form", "approx", "omp_lower_bound")
-# largest number of allocations allocate_exhaustive will enumerate
-EXHAUSTIVE_LIMIT = 10_000_000
-
-
-def allocate_exhaustive(ranked, m_b, budget, objective="closed_form", cap=None,
-                        prior=None, tables=None):
-    """Enumerate every multiset of the top-cap pairs and keep the objective
-    maximizer; exact value ties go to the lexicographically smallest count
-    vector."""
-    if m_b < 1:
-        raise ValueError(f"budget must be >= 1, got {m_b}")
-    if objective not in EXHAUSTIVE_OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}, expected one of {EXHAUSTIVE_OBJECTIVES}")
-    cap = min(cap if cap is not None else m_b, ranked.size, m_b)
-    total = math.comb(m_b + cap - 1, cap - 1)
-    if total > EXHAUSTIVE_LIMIT:
-        raise ValueError(
-            f"exhaustive search over {total} allocations exceeds the limit of "
-            f"{EXHAUSTIVE_LIMIT}; reduce the budget or the candidate cap")
-    if objective == "omp_lower_bound" and (prior is None or tables is None):
-        raise ValueError("omp_lower_bound objective needs prior and tables")
-    w = ranked.weights[:cap]
-    top_pairs = ranked.order[:cap]
-    r0 = budget.r0
-    best = None
-    for combo in combinations_with_replacement(range(cap), m_b):
-        counts = np.bincount(np.asarray(combo, int), minlength=cap)
-        keep = counts > 0
-        alloc = Allocation(pairs=tuple(top_pairs[keep]),
-                           counts=tuple(counts[keep]), budget=m_b)
-        if objective == "closed_form":
-            val = float(sum(w[j] * gamma_closed_form(pos + 1, alloc, budget)
-                            for pos, j in enumerate(np.flatnonzero(keep))))
-        elif objective == "approx":
-            val = approx_astp(counts[keep], w[keep], m_b, r0)
-        else:
-            val = omp_astp_lower_bound(alloc, prior, tables, budget).value
-        key = tuple(int(c) for c in counts)
-        if best is None or val > best[0] or (val == best[0] and key < best[1]):
-            best = (val, key, alloc)
-    return best[2]
-
-
 def guarded_strategy(prev_powers, omega, inner, noise_var):
     """Ambiguity guard on the previous block's readout: when the two largest
     accumulated powers are within omega noise-variance units, the upcoming
@@ -359,7 +308,7 @@ def guarded_strategy(prev_powers, omega, inner, noise_var):
     return inner
 
 
-def apply_strategy(config, ranked, m_b, budget, prior=None, tables=None):
+def apply_strategy(config, ranked, m_b, budget):
     """Route a strategy configuration to its allocator."""
     cap = config.candidate_cap
     if config.kind == "uniform":
@@ -368,9 +317,4 @@ def apply_strategy(config, ranked, m_b, budget, prior=None, tables=None):
         return allocate_proportional(ranked, m_b, cap=cap)
     if config.kind == "branch_and_bound":
         return allocate_bb(ranked, m_b, budget, cap=cap)
-    if config.kind == "kkt":
-        return allocate_kkt(ranked, m_b, budget, cap=cap)
-    if config.kind == "exhaustive":
-        return allocate_exhaustive(ranked, m_b, budget, objective="closed_form", cap=cap)
-    return allocate_exhaustive(ranked, m_b, budget, objective="omp_lower_bound",
-                               cap=cap, prior=prior, tables=tables)
+    return allocate_kkt(ranked, m_b, budget, cap=cap)

@@ -11,13 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocate import (
-    PROFILE_KINDS,
-    StrategyConfig,
-    apply_strategy,
-    guarded_strategy,
-    rank_pairs,
-)
+from .allocate import StrategyConfig, apply_strategy, guarded_strategy, rank_pairs
 from .astp import Allocation, LinkBudget, prior_from_transition
 from .channel import (
     ChannelState,
@@ -175,28 +169,24 @@ class FrameOutcome:
 
 def _allocation_for(scenario, k_est, i_est, strat):
     """Allocation for the prior after the estimate (k_est, i_est), memoized per
-    estimate. Behind that, the strategies in PROFILE_KINDS share one solve
-    among all priors whose top M_B ranked weights are bitwise equal: the
-    solve is kept as positions in the ranked order plus counts."""
+    estimate. Behind that, every strategy shares one solve among all priors
+    whose top M_B ranked weights are bitwise equal: the solve is kept as
+    positions in the ranked order plus counts."""
     key = (k_est, i_est, strat.kind)
     alloc = scenario.alloc_cache.get(key)
     if alloc is not None:
         return alloc
-    prior = prior_from_transition(scenario.model, k_est, i_est)
-    ranked = rank_pairs(prior)
+    ranked = rank_pairs(prior_from_transition(scenario.model, k_est, i_est))
     m_b = scenario.m_b
-    shared = strat.kind in PROFILE_KINDS
     profile = (strat.kind, ranked.weights[:m_b].tobytes())
-    if shared and profile in scenario.profile_cache:
+    if profile in scenario.profile_cache:
         pos, counts = scenario.profile_cache[profile]
         alloc = Allocation(pairs=ranked.order[pos], counts=counts, budget=m_b)
     else:
-        alloc = apply_strategy(strat, ranked, m_b, scenario.budget,
-                               prior=prior, tables=scenario.tables)
-        if shared:
-            top = ranked.order[:m_b].tolist()
-            scenario.profile_cache[profile] = (
-                [top.index(p) for p in alloc.pairs], alloc.counts)
+        alloc = apply_strategy(strat, ranked, m_b, scenario.budget)
+        top = ranked.order[:m_b].tolist()
+        scenario.profile_cache[profile] = (
+            [top.index(p) for p in alloc.pairs], alloc.counts)
     scenario.alloc_cache[key] = alloc
     return alloc
 

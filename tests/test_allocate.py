@@ -12,7 +12,6 @@ from beamtrack.allocate import (
     _kkt_real_counts,
     _stationary_roots,
     allocate_bb,
-    allocate_exhaustive,
     allocate_kkt,
     allocate_proportional,
     allocate_uniform,
@@ -21,15 +20,16 @@ from beamtrack.allocate import (
     rank_pairs,
     round_repair,
 )
+from beamtrack.analysis import astp_closed_form, gamma_closed_form
 from beamtrack.astp import (
     LinkBudget,
     PriorWeights,
     approx_astp,
-    astp_closed_form,
+    harmonic,
     prior_from_transition,
 )
 from beamtrack.channel import CodebookConfig, build_transition_model, pair_index
-from beamtrack.specfun import harmonic
+from exhaustive import allocate_exhaustive
 
 
 def budget_for(r0, noise_var=1.0):
@@ -40,6 +40,17 @@ def budget_for(r0, noise_var=1.0):
 def random_prior(rng, x):
     raw = rng.uniform(0.01, 1.0, size=x)
     return PriorWeights(weights=raw / raw.sum())
+
+
+def surrogate(m_b, budget):
+    # value function for the enumeration oracle: the optimizers' objective
+    return lambda alloc, w: approx_astp(alloc.counts, w, m_b, budget.r0)
+
+
+def closed_form(budget):
+    # value function for the enumeration oracle: the exact success probability
+    return lambda alloc, w: sum(w[j] * gamma_closed_form(j + 1, alloc, budget)
+                                for j in range(alloc.n_pairs))
 
 
 def greedy_fill(w, m_b, r0):
@@ -313,7 +324,7 @@ def test_bb_matches_exhaustive_surrogate():
         ranked = rank_pairs(prior)
         budget = budget_for(float(rng.uniform(0.5, 300.0)))
         got = allocate_bb(ranked, m_b, budget, cap=cap)
-        want = allocate_exhaustive(ranked, m_b, budget, objective="approx", cap=cap)
+        want = allocate_exhaustive(ranked, m_b, surrogate(m_b, budget), cap=cap)
         assert got.pairs == want.pairs
         assert got.counts == want.counts
 
@@ -532,22 +543,16 @@ def test_kkt_output_is_canonical():
 
 def test_exhaustive_single_probe_takes_heaviest_pair():
     ranked = rank_pairs(random_prior(np.random.default_rng(2), 5))
-    alloc = allocate_exhaustive(ranked, 1, budget_for(20.0))
+    alloc = allocate_exhaustive(ranked, 1, closed_form(budget_for(20.0)))
     assert alloc.pairs == (int(ranked.order[0]),)
     assert alloc.counts == (1,)
-
-
-def test_exhaustive_refuses_oversized_enumerations():
-    ranked = rank_pairs(random_prior(np.random.default_rng(4), 40))
-    with pytest.raises(ValueError, match="exceeds the limit"):
-        allocate_exhaustive(ranked, 40, budget_for(10.0), cap=40)
 
 
 def test_exhaustive_closed_form_agrees_with_bb_on_toy_instance():
     ranked = RankedPairs(order=np.array([1, 2, 3, 4]),
                          weights=np.array([0.5, 0.3, 0.15, 0.05]))
     budget = budget_for(60.0)
-    got = allocate_exhaustive(ranked, 4, budget, objective="closed_form", cap=4)
+    got = allocate_exhaustive(ranked, 4, closed_form(budget), cap=4)
     want = allocate_bb(ranked, 4, budget, cap=4)
     assert got.pairs == want.pairs
     assert got.counts == want.counts
@@ -557,7 +562,7 @@ def test_exhaustive_lexicographic_tie_break():
     # symmetric weights make [1,2] and [2,1] equal in value; the smaller
     # count vector wins
     ranked = RankedPairs(order=np.array([1, 2]), weights=np.array([0.5, 0.5]))
-    alloc = allocate_exhaustive(ranked, 3, budget_for(10.0), objective="approx", cap=2)
+    alloc = allocate_exhaustive(ranked, 3, surrogate(3, budget_for(10.0)), cap=2)
     assert alloc.counts == (1, 2)
 
 
@@ -601,7 +606,3 @@ def test_apply_strategy_routes_by_kind():
     bb = apply_strategy(StrategyConfig(kind="branch_and_bound"), ranked, 4, budget)
     kkt = apply_strategy(StrategyConfig(kind="kkt"), ranked, 4, budget)
     assert sum(bb.counts) == sum(kkt.counts) == 4
-    ex = apply_strategy(StrategyConfig(kind="exhaustive"), ranked, 4, budget)
-    assert sum(ex.counts) == 4
-    with pytest.raises(ValueError):
-        apply_strategy(StrategyConfig(kind="omp_exhaustive"), ranked, 4, budget)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-import beamtrack.astp as astp_module
-from beamtrack.astp import Allocation, LinkBudget, omp_gamma_lower_bounds
+import beamtrack.analysis as analysis_module
+from beamtrack.analysis import omp_gamma_lower_bounds
+from beamtrack.astp import Allocation, LinkBudget
 from beamtrack.channel import (
     ChannelState,
     CodebookConfig,
@@ -304,5 +305,5 @@ def test_omp_bound_unchanged_by_shared_pair_rows(monkeypatch):
     budget = LinkBudget(power=2.0, noise_var=1.0, gain_var=1.0, n_tx=3, n_rx=5)
     alloc = Allocation(pairs=(9, 10, 17, 2, 44), counts=(4, 3, 2, 2, 1), budget=12)
     shared = omp_gamma_lower_bounds(alloc, tables, budget)
-    monkeypatch.setattr(astp_module, "pair_rows", kron_rows)
+    monkeypatch.setattr(analysis_module, "pair_rows", kron_rows)
     assert np.array_equal(shared, omp_gamma_lower_bounds(alloc, tables, budget))

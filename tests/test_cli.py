@@ -1,13 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from beamtrack.allocate import allocate_uniform, rank_pairs
-from beamtrack.astp import LinkBudget, astp_closed_form, prior_from_transition
+from beamtrack.analysis import ConvergenceError, astp_closed_form
+from beamtrack.astp import LinkBudget, prior_from_transition
 from beamtrack.channel import CodebookConfig, build_transition_model
-from beamtrack.specfun import ConvergenceError
 from beamtrack import allocate as allocate_module, cli
 from beamtrack.cli import (
     CSV_COLUMNS,
@@ -88,6 +92,14 @@ def test_config_rejects_out_of_range_fields(tmp_path):
                                                      "omega": float("inf")}))
     with pytest.raises(ConfigError, match="estimator"):
         load_config(write_config(tmp_path, estimator="mle"))
+    # the enumerating strategies are retired
+    for kind in ("exhaustive", "omp_exhaustive"):
+        cfg = write_config(tmp_path, strategy={"kind": kind})
+        with pytest.raises(ConfigError, match=(
+                rf"unknown strategy kind '{kind}', expected one of "
+                r"\('uniform', 'proportional', 'branch_and_bound', 'kkt'\)")):
+            load_config(cfg)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
     with pytest.raises(ConfigError, match="sweep_values"):
         load_config(write_config(tmp_path, sweep="beta"))
     with pytest.raises(ConfigError, match="sweep_values"):
@@ -489,6 +501,35 @@ def test_same_seed_gives_byte_identical_csv(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(out_b),
                  "--workers", "4"]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def run_python(code, *args):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_campaigns_run_without_scipy(tmp_path):
+    # scipy serves only beamtrack.analysis: importing the CLI loads none of
+    # it, and campaigns run with every scipy import made to fail
+    loaded = run_python("import sys, beamtrack.cli; print(sorted("
+                        "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout.strip() == "[]"
+    blocked = ('import sys; sys.modules["scipy"] = None; '
+               'from beamtrack.cli import main; sys.exit(main())')
+    desk = write_config(tmp_path, "desk.json", m_b=12, n_frames=2,
+                        strategy={"kind": "kkt"}, estimator="power")
+    overlap = write_config(tmp_path, "overlap.json", m_b=12, n_frames=2,
+                           codebook={"n_tx": 3, "n_rx": 3, "x_tx": 4, "x_rx": 4},
+                           strategy={"kind": "kkt"}, estimator="omp")
+    for cfg in (desk, overlap):
+        out = tmp_path / f"{cfg.stem}.csv"
+        proc = run_python(blocked, "run", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert len(out.read_text().splitlines()) == 2
 
 
 # ----------------------------------------------------- interval calibration

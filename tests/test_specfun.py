@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from beamtrack.specfun import (
+from beamtrack.analysis import (
     ConvergenceError,
     QuadratureSpec,
     bessel_i0_scaled,
-    harmonic,
     integrate_semi_infinite,
     marcum_q1,
 )
+from beamtrack.astp import harmonic
 
 
 # ---------------------------------------------------------------- oracles

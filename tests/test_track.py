@@ -3,13 +3,8 @@ import pytest
 
 import beamtrack.track as track_module
 from beamtrack.allocate import StrategyConfig, allocate_uniform, apply_strategy, rank_pairs
-from beamtrack.astp import (
-    Allocation,
-    LinkBudget,
-    PriorWeights,
-    gamma_closed_form,
-    prior_from_transition,
-)
+from beamtrack.analysis import gamma_closed_form
+from beamtrack.astp import Allocation, LinkBudget, PriorWeights, prior_from_transition
 from beamtrack.channel import (
     ChannelState,
     CodebookConfig,
@@ -414,7 +409,6 @@ def count_solves(monkeypatch):
     ("branch_and_bound", 16, 24, 36),
     ("proportional", 16, 24, 36),
     ("uniform", 16, 24, 36),
-    ("exhaustive", 4, 6, 3),
 ])
 def test_profile_cache_matches_a_solve_on_each_prior(monkeypatch, kind, side, m_b,
                                                       max_solves):
@@ -433,8 +427,7 @@ def test_profile_cache_matches_a_solve_on_each_prior(monkeypatch, kind, side, m_
     assert solves == len(scenario.profile_cache)
     for k, i in states:
         prior = prior_from_transition(scenario.model, k, i)
-        expected = apply_strategy(strategy, rank_pairs(prior), m_b, budget,
-                                  prior=prior, tables=scenario.tables)
+        expected = apply_strategy(strategy, rank_pairs(prior), m_b, budget)
         assert _allocation_for(scenario, k, i, strategy) == expected
     assert len(calls) == solves  # the per-estimate cache answers the repeats
 
@@ -456,23 +449,6 @@ def test_profile_covers_the_whole_budget(monkeypatch):
     assert allocs[0] == Allocation(pairs=(1, 2, 3), counts=(2, 2, 2), budget=6)
     assert allocs[1].counts == (2, 2, 1, 1)
     assert allocs[2] == Allocation(pairs=(4, 5, 6), counts=(2, 2, 2), budget=6)
-
-
-def test_omp_exhaustive_is_never_shared_by_profile(monkeypatch):
-    # the correlation bound reads the whole prior and the overlapped grid, so
-    # equal top weights do not make equal problems
-    config, tables, budget = overlapped_setup()
-    strategy = StrategyConfig(kind="omp_exhaustive")
-    scenario = prepare_scenario(config, 0.1, 0.1, budget, 3, 10, strategy, "omp")
-    calls = count_solves(monkeypatch)
-    for i in range(1, 5):
-        for k in range(1, 5):
-            alloc = _allocation_for(scenario, k, i, strategy)
-            prior = prior_from_transition(scenario.model, k, i)
-            assert alloc == apply_strategy(strategy, rank_pairs(prior), 3, budget,
-                                           prior=prior, tables=tables)
-    assert calls == ["omp_exhaustive"] * 16
-    assert scenario.profile_cache == {}
 
 
 def test_tracking_errors_compound_over_blocks():
